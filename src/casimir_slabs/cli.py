@@ -14,104 +14,102 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import __version__
-from .anisotropic import crossover_thickness, f_parallel_ratio, f_perp_ratio
+from .anisotropic import orientation_forces
 from .quadrature import QuadratureError, QuadratureSpec
 from .sweep import (
     QUANTITIES,
     SweepAxis,
     SweepRequest,
     UsageError,
+    array_slab,
     evaluate_quantity,
     format_value,
     preset_fig2,
     preset_fig3,
     preset_fig4,
     run_sweep,
-    array_slab,
-    write_table,
+    write_outputs,
 )
 
-# Built-in defaults; a config file and then explicit flags override them.
-DEFAULTS = {
-    "omega_p": 2.0e16,          # free-electron-gas bulk plasma frequency
-    "eps_sub": 1.0,             # free-standing environment
-    "eps_sup": 1.0,
-    "radius": 2.0,
-    "threshold": 0.01,
-    "orientation": "both",
-    "format": "csv",
-    "rel_tol": 1.0e-8,
-    "abs_tol": 1.0e-12,
-    "p_transform": "hyperbolic",
-    "curve_points": 25,
+
+class Flag(NamedTuple):
+    """One long flag: its type (or a tuple of choices), the evaluator
+    parameter it sets, its built-in default and its help text."""
+
+    kind: object
+    key: str | None = None
+    default: object = None
+    help: str | None = None
+
+
+# Every flag, keyed by argparse dest.  eps_b has no default here: it
+# defaults per quantity (Quantity.eps_b_default).
+FLAGS = {
+    "l_nm": Flag(float, "l", help="separation between slabs, nm"),
+    "d_nm": Flag(float, "d", help="slab thickness, nm"),
+    "eps_b": Flag(float, "eps_b", help="in-plane background permittivity"),
+    # free-electron-gas bulk plasma frequency, free-standing environment
+    "omega_p": Flag(float, "omega_p", 2.0e16, "bulk plasma frequency, 1/s"),
+    "eps_sub": Flag(float, "eps_sub", 1.0, "substrate permittivity"),
+    "eps_sup": Flag(float, "eps_sup", 1.0, "superstrate permittivity"),
+    "radius_nm": Flag(float, "radius", 2.0, "nanotube radius, nm"),
+    "delta_nm": Flag(float, "delta", help="array period, nm (default 2R)"),
+    "layers": Flag(int, "layers", help="number of monolayers (d = 2R layers)"),
+    "threshold": Flag(float, "threshold", 0.01, "deviation threshold"),
+    "d_min_nm": Flag(float, "d_min", help="lower thickness bracket, nm"),
+    "d_max_nm": Flag(float, "d_max", help="upper thickness bracket, nm"),
+    "orientation": Flag(("parallel", "perp", "both"), default="both"),
+    "out": Flag(str, help="output file path"),
+    "format": Flag(("csv", "json"), default="csv"),
+    "curve_out": Flag(str, help="CSV of the anisotropy curve over the bracket"),
+    "curve_points": Flag(int, default=25, help="points of the anisotropy curve"),
+    "points": Flag(int),
+    "d_points": Flag(int),
+    "l_points": Flag(int),
+    "panels": Flag(str, help="fig4 panels, e.g. ab"),
+    "rel_tol": Flag(float, default=QuadratureSpec.rel_tol),
+    "abs_tol": Flag(float, default=QuadratureSpec.abs_tol),
+    "p_transform": Flag(
+        ("hyperbolic", "shifted-square"), default=QuadratureSpec.p_transform
+    ),
+    "config": Flag(str, help="key = value file of flags"),
+}
+_PARAM_DEST = {flag.key: dest for dest, flag in FLAGS.items() if flag.key}
+
+# Point subcommands: help, the quantities they evaluate, their other flags.
+COMMANDS = {
+    "casimir": ("ideal-conductor pressure", ("casimir",), ()),
+    "lifshitz-local": ("local-metal force, 1/l correction", ("lifshitz_local",), ()),
+    "iso-nonlocal": ("nonlocal isotropic-film force", ("iso_nonlocal",), ()),
+    "iso-thin": ("small-thickness closed form", ("iso_thin",), ()),
+    "aniso": (
+        "nanotube-array force, both orientations",
+        ("aniso_parallel", "aniso_perp"),
+        ("orientation",),
+    ),
+    "main-terms": ("infinite-wp limits", ("main_terms",), ()),
+    "crossover": (
+        "orientation crossover thickness",
+        ("crossover",),
+        ("curve_out", "curve_points"),
+    ),
+    "validity": ("film vs half-space applicability", ("validity",), ()),
 }
 
-# eps_b defaults differ between the isotropic film and the nanotube array.
-EPS_B_DEFAULT = {
-    "iso-nonlocal": 9.0,
-    "iso-thin": 9.0,
-    "validity": 9.0,
-    "aniso": 10.0,
-    "main-terms": 10.0,
-    "crossover": 10.0,
-    "sweep": 9.0,
-}
 
-# CLI dest -> canonical parameter key used by the evaluators.
-_PARAM_KEYS = {
-    "l_nm": "l",
-    "d_nm": "d",
-    "eps_b": "eps_b",
-    "omega_p": "omega_p",
-    "eps_sub": "eps_sub",
-    "eps_sup": "eps_sup",
-    "radius_nm": "radius",
-    "delta_nm": "delta",
-    "layers": "layers",
-    "threshold": "threshold",
-    "d_min_nm": "d_min",
-    "d_max_nm": "d_max",
-}
-
-_FLOAT_DESTS = {
-    "l_nm", "d_nm", "eps_b", "omega_p", "eps_sub", "eps_sup", "radius_nm",
-    "delta_nm", "threshold", "d_min_nm", "d_max_nm", "rel_tol", "abs_tol",
-}
-_INT_DESTS = {"layers", "points", "d_points", "l_points", "curve_points"}
-
-
-def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
-    spec = {
-        "l_nm": dict(type=float, help="separation between slabs, nm"),
-        "d_nm": dict(type=float, help="slab thickness, nm"),
-        "eps_b": dict(type=float, help="in-plane background permittivity"),
-        "omega_p": dict(type=float, help="bulk plasma frequency, 1/s"),
-        "eps_sub": dict(type=float, help="substrate permittivity"),
-        "eps_sup": dict(type=float, help="superstrate permittivity"),
-        "radius_nm": dict(type=float, help="nanotube radius, nm"),
-        "delta_nm": dict(type=float, help="array period, nm (default 2R)"),
-        "layers": dict(type=int, help="number of monolayers (d = 2R layers)"),
-        "orientation": dict(choices=("parallel", "perp", "both")),
-        "threshold": dict(type=float, help="deviation threshold"),
-        "d_min_nm": dict(type=float, help="lower thickness bracket, nm"),
-        "d_max_nm": dict(type=float, help="upper thickness bracket, nm"),
-        "out": dict(help="output file path"),
-        "format": dict(choices=("csv", "json")),
-        "curve_out": dict(help="CSV of the anisotropy curve over the bracket"),
-        "curve_points": dict(type=int, help="points of the anisotropy curve"),
-    }
-    for name in names:
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, default=None, **spec[name])
-    parser.add_argument("--rel-tol", type=float, default=None)
-    parser.add_argument("--abs-tol", type=float, default=None)
-    parser.add_argument(
-        "--p-transform", choices=("hyperbolic", "shifted-square"), default=None
-    )
-    parser.add_argument("--config", default=None, help="key = value file of flags")
+def _add_flags(parser: argparse.ArgumentParser, dests: Sequence[str]) -> None:
+    for dest in (*dests, "rel_tol", "abs_tol", "p_transform", "config"):
+        flag = FLAGS[dest]
+        kind = "choices" if isinstance(flag.kind, tuple) else "type"
+        parser.add_argument(
+            "--" + dest.replace("_", "-"),
+            default=None,
+            help=flag.help,
+            **{kind: flag.kind},
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -122,34 +120,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(sub.add_parser("casimir", help="ideal-conductor pressure"), "l_nm")
-    _add_common(
-        sub.add_parser("lifshitz-local", help="local-metal force, 1/l correction"),
-        "l_nm", "omega_p",
-    )
-    _add_common(
-        sub.add_parser("iso-nonlocal", help="nonlocal isotropic-film force"),
-        "l_nm", "d_nm", "eps_b", "omega_p", "eps_sub", "eps_sup",
-    )
-    _add_common(
-        sub.add_parser("iso-thin", help="small-thickness closed form"),
-        "l_nm", "d_nm", "eps_b", "omega_p", "eps_sub", "eps_sup",
-    )
-    _add_common(
-        sub.add_parser("aniso", help="nanotube-array force, both orientations"),
-        "l_nm", "d_nm", "layers", "radius_nm", "delta_nm", "eps_b", "omega_p",
-        "eps_sub", "eps_sup", "orientation",
-    )
-    _add_common(sub.add_parser("main-terms", help="infinite-wp limits"), "eps_b")
-    _add_common(
-        sub.add_parser("crossover", help="orientation crossover thickness"),
-        "l_nm", "d_min_nm", "d_max_nm", "radius_nm", "delta_nm", "eps_b",
-        "omega_p", "eps_sub", "eps_sup", "curve_out", "curve_points",
-    )
-    _add_common(
-        sub.add_parser("validity", help="film vs half-space applicability"),
-        "l_nm", "d_nm", "eps_b", "omega_p", "eps_sub", "eps_sup", "threshold",
-    )
+    for command, (text, quantities, extra) in COMMANDS.items():
+        params = QUANTITIES[quantities[0]].params
+        _add_flags(
+            sub.add_parser(command, help=text),
+            [*(_PARAM_DEST[key] for key in params), *extra],
+        )
 
     sweep = sub.add_parser("sweep", help="parameter grid to CSV/JSON")
     sweep.add_argument("--quantity", required=True, choices=QUANTITIES)
@@ -160,19 +136,11 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="NAME:FROM:TO:POINTS[:SPACING]",
         help="swept axis (name in d,l,eps_b,R,layers); up to two",
     )
-    _add_common(
-        sweep,
-        "l_nm", "d_nm", "eps_b", "omega_p", "eps_sub", "eps_sup", "radius_nm",
-        "delta_nm", "layers", "threshold", "d_min_nm", "d_max_nm", "out", "format",
-    )
+    _add_flags(sweep, [*_PARAM_DEST.values(), "out", "format"])
 
     preset = sub.add_parser("preset", help="standard figure data sets")
     preset.add_argument("name", choices=("fig2", "fig3", "fig4"))
-    preset.add_argument("--points", type=int, default=None)
-    preset.add_argument("--d-points", type=int, default=None)
-    preset.add_argument("--l-points", type=int, default=None)
-    preset.add_argument("--panels", default=None, help="fig4 panels, e.g. ab")
-    _add_common(preset, "out")
+    _add_flags(preset, ["points", "d_points", "l_points", "panels", "out"])
     return parser
 
 
@@ -193,47 +161,34 @@ def _load_config(path: str) -> dict:
     return values
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    for dest, raw in _load_config(args.config).items():
-        if not hasattr(args, dest) or getattr(args, dest) is not None:
-            continue  # unknown key for this command, or flag already set
-        if dest in _FLOAT_DESTS:
-            value: object = float(raw)
-        elif dest in _INT_DESTS:
-            value = int(raw)
+def _resolve(args: argparse.Namespace, eps_b_default: float | None) -> None:
+    """Fill every flag left unset: from --config, else from its default.
+
+    A value given explicitly is kept as given, 0 included."""
+    config = _load_config(args.config) if args.config else {}
+    for dest, value in list(vars(args).items()):
+        if value is not None:
+            continue
+        flag = FLAGS.get(dest, Flag(str))
+        if dest in config:
+            raw = config[dest]
+            value = raw if isinstance(flag.kind, tuple) else flag.kind(raw)
         else:
-            value = raw
+            value = eps_b_default if dest == "eps_b" else flag.default
         setattr(args, dest, value)
+    for dest in ("points", "d_points", "l_points", "curve_points"):
+        if getattr(args, dest, None) is not None and getattr(args, dest) < 1:
+            raise UsageError(f"--{dest.replace('_', '-')} must be >= 1")
 
 
-def _get(args: argparse.Namespace, dest: str, command: str):
-    value = getattr(args, dest, None)
-    if value is not None:
-        return value
-    if dest == "eps_b":
-        return EPS_B_DEFAULT.get(command)
-    return DEFAULTS.get(dest.removesuffix("_nm"))
-
-
-def _params(args: argparse.Namespace, command: str) -> dict:
-    params = {}
-    for dest, key in _PARAM_KEYS.items():
-        if hasattr(args, dest):
-            params[key] = _get(args, dest, command)
-    return params
+def _params(args: argparse.Namespace) -> dict:
+    return {key: getattr(args, dest) for key, dest in _PARAM_DEST.items()
+            if hasattr(args, dest)}
 
 
 def _spec(args: argparse.Namespace) -> QuadratureSpec:
     return QuadratureSpec(
-        rel_tol=getattr(args, "rel_tol", None) or DEFAULTS["rel_tol"],
-        abs_tol=(
-            DEFAULTS["abs_tol"]
-            if getattr(args, "abs_tol", None) is None
-            else args.abs_tol
-        ),
-        p_transform=getattr(args, "p_transform", None) or DEFAULTS["p_transform"],
+        rel_tol=args.rel_tol, abs_tol=args.abs_tol, p_transform=args.p_transform
     )
 
 
@@ -249,62 +204,35 @@ def _print_result(quantity: str, params: dict, outputs: dict) -> None:
 
 
 def run_point(quantity: str, params: dict, spec: QuadratureSpec) -> int:
-    """Evaluate one configuration, print text plus a machine-readable line."""
+    """Evaluate one configuration, print text plus a machine-readable line.
+
+    Returns 3 on a failed quadrature, 1 for a crossover search without a
+    sign change, else 0.
+    """
     outputs = evaluate_quantity(quantity, params, spec)
     _print_result(quantity, params, outputs)
-    failed = any(v == "quadrature_failed" for v in outputs.values())
-    return 3 if failed else 0
+    if any(v == "quadrature_failed" for v in outputs.values()):
+        return 3
+    return 1 if quantity == "crossover" and outputs["crossover_d_nm"] is None else 0
 
 
-def run_crossover(args: argparse.Namespace) -> int:
-    params = _params(args, "crossover")
-    spec = _spec(args)
-    for key in ("l", "d_min", "d_max"):
-        if params.get(key) is None:
-            raise UsageError(f"crossover requires --{key.replace('_', '-')}-nm")
-    if params["d_min"] >= params["d_max"]:
-        raise UsageError(
-            f"need d_min < d_max, got {params['d_min']} >= {params['d_max']}"
-        )
-    template = array_slab({**params, "d": params["d_max"]}, "crossover")
-    result = crossover_thickness(
-        template, params["l"], (params["d_min"], params["d_max"]), spec
-    )
-    outputs = {
-        "crossover_d_nm": result.crossover_d,
-        "bracket_low_nm": result.bracket[0],
-        "bracket_high_nm": result.bracket[1],
-        "sign_low": result.sign_low,
-        "sign_high": result.sign_high,
-        "iterations": result.iterations,
-    }
-    _print_result("crossover", params, outputs)
-    if args.curve_out:
-        n = _get(args, "curve_points", "crossover")
-        step = (params["d_max"] - params["d_min"]) / max(n - 1, 1)
-        rows = []
-        from dataclasses import replace
+def _write_curve(path: str, n: int, params: dict, spec: QuadratureSpec) -> None:
+    """Both orientation forces at n evenly spaced thicknesses of the bracket."""
+    step = (params["d_max"] - params["d_min"]) / max(n - 1, 1)
 
+    def rows():
         for i in range(n):
             d = params["d_min"] + i * step
-            slab = replace(template, thickness_d=d)
-            par = f_parallel_ratio(slab, params["l"], spec)
-            perp = f_perp_ratio(slab, params["l"], spec)
-            rows.append(
-                [
-                    d,
-                    par.ratio_to_casimir,
-                    perp.ratio_to_casimir,
-                    par.ratio_to_casimir - perp.ratio_to_casimir,
-                ]
-            )
-        write_table(
-            args.curve_out,
-            ["d_nm", "ratio_parallel", "ratio_perp", "anisotropy"],
-            rows,
-        )
-        print(f"anisotropy curve written to {args.curve_out}")
-    return 0 if result.crossover_d is not None else 1
+            slab = array_slab({**params, "d": d}, "crossover")
+            forces = orientation_forces(slab, params["l"], spec)
+            par, perp = forces.f_parallel, forces.f_perp
+            yield [d, par.ratio_to_casimir, perp.ratio_to_casimir, forces.anisotropy]
+
+    request = SweepRequest("crossover", {**params, "curve_points": n}, (), path)
+    write_outputs(
+        request, spec, ["d_nm", "ratio_parallel", "ratio_perp", "anisotropy"], rows()
+    )
+    print(f"anisotropy curve written to {path}")
 
 
 def _parse_axis(text: str) -> SweepAxis:
@@ -325,18 +253,13 @@ def _run_sweep_cmd(args: argparse.Namespace) -> int:
     if not args.out:
         raise UsageError("sweep requires --out")
     axes = tuple(_parse_axis(a) for a in (args.axis or []))
-    params = _params(args, "sweep")
-    if args.quantity in ("aniso_parallel", "aniso_perp", "crossover"):
-        if getattr(args, "eps_b", None) is None:
-            params["eps_b"] = EPS_B_DEFAULT["aniso"]
-    swept = {_axis_name_to_param(ax.name) for ax in axes}
-    fixed = {k: v for k, v in params.items() if k not in swept}
+    swept = {ax.param for ax in axes}
     request = SweepRequest(
         quantity=args.quantity,
-        fixed_params=fixed,
+        fixed_params={k: v for k, v in _params(args).items() if k not in swept},
         axes=axes,
         output_path=args.out,
-        format=_get(args, "format", "sweep"),
+        format=args.format,
     )
     summary = run_sweep(request, _spec(args))
     print(
@@ -346,65 +269,43 @@ def _run_sweep_cmd(args: argparse.Namespace) -> int:
     return 0
 
 
-def _axis_name_to_param(name: str) -> str:
-    return {"R": "radius"}.get(name, name)
-
-
 def _run_preset(args: argparse.Namespace) -> int:
+    _resolve(args, None)
     if not args.out:
         raise UsageError("preset requires --out")
-    spec = _spec(args)
-    if args.name == "fig2":
-        summary = preset_fig2(args.out, args.points or 50, spec)
-    elif args.name == "fig3":
-        summary = preset_fig3(args.out, args.points or 25, spec)
+    if args.name == "fig4":
+        sizes = {
+            "d_points": args.points if args.d_points is None else args.d_points,
+            "l_points": args.points if args.l_points is None else args.l_points,
+            "panels": args.panels,
+        }
     else:
-        summary = preset_fig4(
-            args.out,
-            d_points=args.d_points or args.points or 5,
-            l_points=args.l_points or args.points or 6,
-            panels=args.panels or "abcd",
-            spec=spec,
-        )
+        sizes = {"points": args.points}
+    preset = {"fig2": preset_fig2, "fig3": preset_fig3, "fig4": preset_fig4}[args.name]
+    summary = preset(
+        args.out,
+        spec=_spec(args),
+        **{k: v for k, v in sizes.items() if v is not None},
+    )
     print(f"wrote {summary['rows']} rows to {summary['output']}")
     return 0
 
 
-_POINT_COMMANDS = {
-    "casimir": "casimir",
-    "lifshitz-local": "lifshitz_local",
-    "iso-nonlocal": "iso_nonlocal",
-    "iso-thin": "iso_thin",
-    "main-terms": "main_terms",
-    "validity": "validity",
-}
-
-
 def _dispatch(args: argparse.Namespace) -> int:
-    _apply_config(args)
-    command = args.command
-    if command in _POINT_COMMANDS:
-        return run_point(_POINT_COMMANDS[command], _params(args, command), _spec(args))
-    if command == "aniso":
-        params = _params(args, "aniso")
-        spec = _spec(args)
-        orientation = _get(args, "orientation", "aniso")
-        quantities = {
-            "parallel": ("aniso_parallel",),
-            "perp": ("aniso_perp",),
-            "both": ("aniso_parallel", "aniso_perp"),
-        }[orientation]
-        code = 0
-        for quantity in quantities:
-            code = max(code, run_point(quantity, params, spec))
-        return code
-    if command == "crossover":
-        return run_crossover(args)
-    if command == "sweep":
-        return _run_sweep_cmd(args)
-    if command == "preset":
+    if args.command == "preset":
         return _run_preset(args)
-    raise UsageError(f"unknown command {command!r}")
+    sweep = args.command == "sweep"
+    quantities = (args.quantity,) if sweep else COMMANDS[args.command][1]
+    _resolve(args, QUANTITIES[quantities[0]].eps_b_default)
+    if sweep:
+        return _run_sweep_cmd(args)
+    params, spec = _params(args), _spec(args)
+    if args.command == "aniso" and args.orientation != "both":
+        quantities = ("aniso_" + args.orientation,)
+    code = max(run_point(quantity, params, spec) for quantity in quantities)
+    if getattr(args, "curve_out", None):
+        _write_curve(args.curve_out, args.curve_points, params, spec)
+    return code
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -415,13 +316,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except QuadratureError as exc:
         print(f"quadrature failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,21 +1,30 @@
 """Parameter sweeps with reproducible CSV/JSON artifacts.
 
+Each quantity is described once, by a ``Quantity`` record in
+``QUANTITIES``: the parameters it requires and the optional ones it
+reads, the slab it builds, its evaluator and its output columns.  Point
+evaluation, sweep validation and the command line all read that table.
+
 A sweep names a quantity, fixes the remaining parameters, and walks up
 to two axes in deterministic axis-major order.  Every output file gets a
 sibling ``<name>.manifest.json`` recording the fixed parameters, the
 tool version and the quadrature settings, so a run can be reproduced
-byte for byte.  The three ``fig*`` presets generate the data behind the
-standard plots: main terms vs 1/eps_b, the isotropic force vs separation
-for three thicknesses, and the orientation-resolved nanotube surfaces.
+byte for byte.  Both files are written under temporary names in the
+target directory and renamed into place only when complete, so a failed
+run leaves earlier outputs untouched.  The three ``fig*`` presets
+generate the data behind the standard plots: main terms vs 1/eps_b, the
+isotropic force vs separation for three thicknesses, and the
+orientation-resolved nanotube surfaces.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+import os
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,6 +35,7 @@ from .anisotropic import (
     f_perp_ratio,
     main_term_parallel,
     main_term_perp,
+    orientation_forces,
 )
 from .lifshitz import (
     ForceResult,
@@ -40,11 +50,13 @@ from .validity import applicability_report
 
 __all__ = [
     "UsageError",
+    "Quantity",
+    "QUANTITIES",
     "SweepAxis",
     "SweepRequest",
-    "QUANTITIES",
     "evaluate_quantity",
     "run_sweep",
+    "write_outputs",
     "preset_fig2",
     "preset_fig3",
     "preset_fig4",
@@ -64,26 +76,7 @@ AXIS_COLUMNS = {
 }
 
 FORCE_COLUMNS = ("ratio_to_casimir", "pressure_pa", "error_estimate", "validity")
-
-QUANTITY_COLUMNS = {
-    "casimir": FORCE_COLUMNS,
-    "lifshitz_local": FORCE_COLUMNS,
-    "iso_nonlocal": FORCE_COLUMNS,
-    "iso_thin": FORCE_COLUMNS,
-    "aniso_parallel": FORCE_COLUMNS,
-    "aniso_perp": FORCE_COLUMNS,
-    "main_terms": ("main_parallel", "main_perp"),
-    "crossover": ("crossover_d_nm", "sign_low", "sign_high", "iterations"),
-    "validity": (
-        "max_rel_deviation_s",
-        "max_rel_deviation_p",
-        "d_ok",
-        "l_ok",
-        "verdict",
-    ),
-}
-
-QUANTITIES = tuple(QUANTITY_COLUMNS)
+_SURROUNDINGS = ("eps_sub", "eps_sup")
 
 
 @dataclass(frozen=True)
@@ -108,6 +101,11 @@ class SweepAxis:
         if self.spacing == "log" and (self.start <= 0.0 or self.stop <= 0.0):
             raise UsageError(f"axis {self.name}: log spacing needs positive bounds")
 
+    @property
+    def param(self) -> str:
+        """The parameter key the axis sets."""
+        return "radius" if self.name == "R" else self.name
+
     def grid(self) -> list[float]:
         if self.points == 1:
             return [float(self.start)]
@@ -129,14 +127,40 @@ class SweepRequest:
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        if self.quantity not in QUANTITY_COLUMNS:
-            raise UsageError(
-                f"unknown quantity {self.quantity!r}; choose from {QUANTITIES}"
-            )
+        record = _record(self.quantity)
         if len(self.axes) > 2:
             raise UsageError("at most two sweep axes are supported")
+        for ax in self.axes:
+            if ax.param not in record.params:
+                raise UsageError(f"{self.quantity} does not read the {ax.name} axis")
         if self.format not in ("csv", "json"):
             raise UsageError(f"format must be csv or json, got {self.format!r}")
+
+
+@dataclass(frozen=True)
+class Quantity:
+    """Everything the sweep, point and CLI code know about one quantity.
+
+    ``slab(params, name)`` builds and checks the evaluator's input without
+    any quadrature, so a whole grid is validated before the first point
+    is computed.  ``evaluate(params, slab, spec)`` returns a dict holding
+    at least ``columns``.
+    """
+
+    requires: tuple[str, ...]
+    optional: tuple[str, ...]
+    slab: Callable[[dict, str], object] | None
+    evaluate: Callable[[dict, object, QuadratureSpec], dict]
+    columns: tuple[str, ...] = FORCE_COLUMNS
+    array: bool = False  # a nanotube-array quantity rather than a film one
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        return self.requires + self.optional
+
+    @property
+    def eps_b_default(self) -> float:
+        return 10.0 if self.array else 9.0
 
 
 def _require(params: dict, keys: Sequence[str], quantity: str) -> None:
@@ -145,23 +169,31 @@ def _require(params: dict, keys: Sequence[str], quantity: str) -> None:
         raise UsageError(f"{quantity} requires parameters: {', '.join(missing)}")
 
 
+def _surroundings(params: dict) -> dict:
+    # An absent permittivity means vacuum; an explicit 0 reaches the slab,
+    # which rejects it.
+    sub, sup = params.get("eps_sub"), params.get("eps_sup")
+    return {
+        "eps_sub": 1.0 if sub is None else sub,
+        "eps_sup": 1.0 if sup is None else sup,
+    }
+
+
 def _iso_slab(params: dict, quantity: str) -> IsotropicSlab:
-    _require(params, ("d", "omega_p", "eps_b"), quantity)
     return IsotropicSlab(
         omega_p3d=params["omega_p"],
         thickness_d=params["d"],
         eps_b=params["eps_b"],
-        eps_sub=params.get("eps_sub") or 1.0,
-        eps_sup=params.get("eps_sup") or 1.0,
+        **_surroundings(params),
     )
 
 
 def array_slab(params: dict, quantity: str) -> NanotubeArraySlab:
-    _require(params, ("radius", "omega_p", "eps_b"), quantity)
     radius = params["radius"]
-    d = params.get("d")
+    d, layers = params.get("d"), params.get("layers")
+    if d is not None and layers is not None:
+        raise UsageError(f"{quantity} takes d or layers, not both")
     if d is None:
-        layers = params.get("layers")
         if layers is None:
             raise UsageError(f"{quantity} requires either d or layers")
         d = int(round(layers)) * 2.0 * radius  # n monolayers of diameter 2R
@@ -171,9 +203,22 @@ def array_slab(params: dict, quantity: str) -> NanotubeArraySlab:
         thickness_d=d,
         eps_b=params["eps_b"],
         period_Delta=params.get("delta"),
-        eps_sub=params.get("eps_sub") or 1.0,
-        eps_sup=params.get("eps_sup") or 1.0,
+        **_surroundings(params),
     )
+
+
+def _crossover_template(params: dict, quantity: str) -> NanotubeArraySlab:
+    if not params["d_min"] < params["d_max"]:
+        raise UsageError(
+            f"need d_min < d_max, got {params['d_min']} >= {params['d_max']}"
+        )
+    # The bracket sets the thickness: crossover reads neither d nor layers.
+    return array_slab({**params, "d": params["d_max"], "layers": None}, quantity)
+
+
+def _check_background(params: dict, quantity: str) -> None:
+    if params["eps_b"] <= 1.0:
+        raise UsageError(f"{quantity} requires eps_b > 1")
 
 
 def _force_row(result: ForceResult) -> dict:
@@ -185,68 +230,113 @@ def _force_row(result: ForceResult) -> dict:
     }
 
 
+def _casimir(params: dict, slab: None, spec: QuadratureSpec) -> dict:
+    return {
+        "ratio_to_casimir": 1.0,
+        "pressure_pa": casimir_pressure(params["l"]),
+        "error_estimate": 0.0,
+        "validity": "valid",
+    }
+
+
+def _main_terms(params: dict, slab: None, spec: QuadratureSpec) -> dict:
+    return {
+        "main_parallel": main_term_parallel(params["eps_b"], spec),
+        "main_perp": main_term_perp(params["eps_b"], spec),
+    }
+
+
+def _crossover(params: dict, template, spec: QuadratureSpec) -> dict:
+    result = crossover_thickness(
+        template, params["l"], (params["d_min"], params["d_max"]), spec
+    )
+    return {
+        "crossover_d_nm": result.crossover_d,
+        "bracket_low_nm": result.bracket[0],
+        "bracket_high_nm": result.bracket[1],
+        "sign_low": result.sign_low,
+        "sign_high": result.sign_high,
+        "iterations": result.iterations,
+    }
+
+
+def _validity(params: dict, slab: IsotropicSlab, spec: QuadratureSpec) -> dict:
+    threshold = params.get("threshold")
+    report = applicability_report(
+        slab, params["l"], 0.01 if threshold is None else threshold
+    )
+    return {
+        "max_rel_deviation_s": report.max_rel_deviation_s,
+        "max_rel_deviation_p": report.max_rel_deviation_p,
+        "d_ok": report.d_ok,
+        "l_ok": report.l_ok,
+        "verdict": report.verdict,
+    }
+
+
+_FILM = ("l", "d", "eps_b", "omega_p")
+_ARRAY = ("l", "radius", "eps_b", "omega_p")
+_ARRAY_OPTIONAL = ("d", "layers", "delta", *_SURROUNDINGS)
+
+QUANTITIES = {
+    "casimir": Quantity(("l",), (), None, _casimir),
+    "lifshitz_local": Quantity(
+        ("l", "omega_p"), (), None,
+        lambda p, slab, spec: _force_row(lifshitz_force_local(p["omega_p"], p["l"])),
+    ),
+    "iso_nonlocal": Quantity(
+        _FILM, _SURROUNDINGS, _iso_slab,
+        lambda p, slab, spec: _force_row(nonlocal_isotropic_ratio(slab, p["l"], spec)),
+    ),
+    "iso_thin": Quantity(
+        _FILM, _SURROUNDINGS, _iso_slab,
+        lambda p, slab, spec: _force_row(thin_limit_ratio(slab, p["l"])),
+    ),
+    "aniso_parallel": Quantity(
+        _ARRAY, _ARRAY_OPTIONAL, array_slab,
+        lambda p, slab, spec: _force_row(f_parallel_ratio(slab, p["l"], spec)),
+        array=True,
+    ),
+    "aniso_perp": Quantity(
+        _ARRAY, _ARRAY_OPTIONAL, array_slab,
+        lambda p, slab, spec: _force_row(f_perp_ratio(slab, p["l"], spec)),
+        array=True,
+    ),
+    "main_terms": Quantity(
+        ("eps_b",), (), _check_background, _main_terms,
+        ("main_parallel", "main_perp"), array=True,
+    ),
+    "crossover": Quantity(
+        ("l", "d_min", "d_max", "radius", "eps_b", "omega_p"),
+        ("delta", *_SURROUNDINGS), _crossover_template, _crossover,
+        ("crossover_d_nm", "sign_low", "sign_high", "iterations"), array=True,
+    ),
+    "validity": Quantity(
+        _FILM, (*_SURROUNDINGS, "threshold"), _iso_slab, _validity,
+        ("max_rel_deviation_s", "max_rel_deviation_p", "d_ok", "l_ok", "verdict"),
+    ),
+}
+
+
+def _record(quantity: str) -> Quantity:
+    if quantity not in QUANTITIES:
+        raise UsageError(
+            f"unknown quantity {quantity!r}; choose from {tuple(QUANTITIES)}"
+        )
+    return QUANTITIES[quantity]
+
+
+def _prepare(quantity: str, params: dict) -> tuple[Quantity, object]:
+    """Check one point's parameters and build its slab; no quadrature."""
+    record = _record(quantity)
+    _require(params, record.requires, quantity)
+    return record, None if record.slab is None else record.slab(params, quantity)
+
+
 def evaluate_quantity(quantity: str, params: dict, spec: QuadratureSpec) -> dict:
     """Compute one grid point; returns the output columns for that quantity."""
-    if quantity == "casimir":
-        _require(params, ("l",), quantity)
-        pressure = casimir_pressure(params["l"])
-        return {
-            "ratio_to_casimir": 1.0,
-            "pressure_pa": pressure,
-            "error_estimate": 0.0,
-            "validity": "valid",
-        }
-    if quantity == "lifshitz_local":
-        _require(params, ("l", "omega_p"), quantity)
-        return _force_row(lifshitz_force_local(params["omega_p"], params["l"]))
-    if quantity == "iso_nonlocal":
-        _require(params, ("l",), quantity)
-        slab = _iso_slab(params, quantity)
-        return _force_row(nonlocal_isotropic_ratio(slab, params["l"], spec))
-    if quantity == "iso_thin":
-        _require(params, ("l",), quantity)
-        slab = _iso_slab(params, quantity)
-        return _force_row(thin_limit_ratio(slab, params["l"]))
-    if quantity == "aniso_parallel":
-        _require(params, ("l",), quantity)
-        slab = array_slab(params, quantity)
-        return _force_row(f_parallel_ratio(slab, params["l"], spec))
-    if quantity == "aniso_perp":
-        _require(params, ("l",), quantity)
-        slab = array_slab(params, quantity)
-        return _force_row(f_perp_ratio(slab, params["l"], spec))
-    if quantity == "main_terms":
-        _require(params, ("eps_b",), quantity)
-        return {
-            "main_parallel": main_term_parallel(params["eps_b"], spec),
-            "main_perp": main_term_perp(params["eps_b"], spec),
-        }
-    if quantity == "crossover":
-        _require(params, ("l", "d_min", "d_max"), quantity)
-        template = array_slab({**params, "d": params["d_max"]}, quantity)
-        result = crossover_thickness(
-            template, params["l"], (params["d_min"], params["d_max"]), spec
-        )
-        return {
-            "crossover_d_nm": result.crossover_d,
-            "sign_low": result.sign_low,
-            "sign_high": result.sign_high,
-            "iterations": result.iterations,
-        }
-    if quantity == "validity":
-        _require(params, ("l",), quantity)
-        slab = _iso_slab(params, quantity)
-        report = applicability_report(
-            slab, params["l"], params.get("threshold") or 0.01
-        )
-        return {
-            "max_rel_deviation_s": report.max_rel_deviation_s,
-            "max_rel_deviation_p": report.max_rel_deviation_p,
-            "d_ok": report.d_ok,
-            "l_ok": report.l_ok,
-            "verdict": report.verdict,
-        }
-    raise UsageError(f"unknown quantity {quantity!r}")
+    record, slab = _prepare(quantity, params)
+    return record.evaluate(params, slab, spec)
 
 
 def format_value(value) -> str:
@@ -268,10 +358,7 @@ def write_table(path: str | Path, columns: Sequence[str], rows: Iterable[Sequenc
         lines.extend(",".join(format_value(v) for v in row) for row in rows)
         path.write_text("\n".join(lines) + "\n")
     else:
-        payload = {
-            "columns": list(columns),
-            "rows": [[None if v is None else v for v in row] for row in rows],
-        }
+        payload = {"columns": list(columns), "rows": [list(row) for row in rows]}
         path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -281,52 +368,58 @@ def write_manifest(output_path: str | Path, payload: dict) -> Path:
     return manifest_path
 
 
-def _manifest_payload(
-    quantity: str,
-    fixed_params: dict,
-    axes: Sequence[SweepAxis],
+def write_outputs(
+    request: SweepRequest,
     spec: QuadratureSpec,
     columns: Sequence[str],
-    rows: int,
-    fmt: str,
-    output_path: str | Path,
+    rows: Iterable[Sequence],
 ) -> dict:
+    """Compute ``rows`` and write the table and its manifest atomically.
+
+    ``rows`` may be a generator.  It is consumed only once a temporary
+    file exists in the target directory, so a missing or unwritable
+    directory fails before any point is computed.  Table and manifest
+    are renamed into place only when both are complete; on any error the
+    temporary files are removed and earlier outputs keep their bytes.
+    """
+    target = Path(request.output_path)
+    manifest_target = Path(str(request.output_path) + ".manifest.json")
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    tmp_manifest = Path(str(tmp) + ".manifest.json")
+    try:
+        tmp.touch()
+    except OSError as exc:
+        exc.filename = str(target)  # name the output, not its temporary file
+        raise
+    try:
+        rows = list(rows)
+        write_table(tmp, columns, rows, request.format)
+        payload = {
+            "tool": "casimir-slabs",
+            "version": __version__,
+            "quantity": request.quantity,
+            "fixed_params": {
+                k: v for k, v in request.fixed_params.items() if v is not None
+            },
+            "axes": [asdict(ax) for ax in request.axes],
+            "quadrature": asdict(spec),
+            "format": request.format,
+            "columns": list(columns),
+            "rows": len(rows),
+            "output": target.name,
+        }
+        write_manifest(tmp, payload)
+        os.replace(tmp, target)
+        os.replace(tmp_manifest, manifest_target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        tmp_manifest.unlink(missing_ok=True)
+        raise
     return {
-        "tool": "casimir-slabs",
-        "version": __version__,
-        "quantity": quantity,
-        "fixed_params": {
-            k: v for k, v in sorted(fixed_params.items()) if v is not None
-        },
-        "axes": [
-            {
-                "name": ax.name,
-                "start": ax.start,
-                "stop": ax.stop,
-                "points": ax.points,
-                "spacing": ax.spacing,
-            }
-            for ax in axes
-        ],
-        "quadrature": {
-            "rel_tol": spec.rel_tol,
-            "abs_tol": spec.abs_tol,
-            "x_max": spec.x_max,
-            "p_transform": spec.p_transform,
-            "max_subdivisions": spec.max_subdivisions,
-        },
-        "format": fmt,
-        "columns": list(columns),
-        "rows": rows,
-        "output": Path(output_path).name,
+        "rows": len(rows),
+        "output": str(request.output_path),
+        "manifest": str(manifest_target),
     }
-
-
-def _open_for_write(path: str | Path) -> None:
-    # Touch the target up front so an unwritable path fails before any
-    # integral is evaluated.
-    with open(path, "w"):
-        pass
 
 
 def run_sweep(request: SweepRequest, spec: QuadratureSpec | None = None) -> dict:
@@ -337,77 +430,32 @@ def run_sweep(request: SweepRequest, spec: QuadratureSpec | None = None) -> dict
     slowest.  Reruns of the same request produce byte-identical files.
     """
     spec = spec or QuadratureSpec()
-    grids = [ax.grid() for ax in request.axes]
-    combos = list(itertools.product(*grids)) if grids else [()]
+    record = QUANTITIES[request.quantity]
+    combos = list(itertools.product(*(ax.grid() for ax in request.axes)))
 
     # Validate every grid point (slab invariants, required parameters)
     # before any quadrature or file output.
+    swept = [ax.param for ax in request.axes]
     param_sets = []
     for combo in combos:
         params = dict(request.fixed_params)
-        for ax, value in zip(request.axes, combo):
-            params[_axis_param(ax.name)] = value
-        _validate_point(request.quantity, params)
+        params.update(zip(swept, combo))
+        _prepare(request.quantity, params)
         param_sets.append(params)
 
-    _open_for_write(request.output_path)
+    def rows():
+        for combo, params in zip(combos, param_sets):
+            outputs = evaluate_quantity(request.quantity, params, spec)
+            yield list(combo) + [outputs[c] for c in record.columns]
 
-    axis_cols = [AXIS_COLUMNS[ax.name] for ax in request.axes]
-    value_cols = list(QUANTITY_COLUMNS[request.quantity])
-    columns = axis_cols + value_cols
-    rows = []
-    for combo, params in zip(combos, param_sets):
-        outputs = evaluate_quantity(request.quantity, params, spec)
-        rows.append(list(combo) + [outputs[c] for c in value_cols])
-
-    write_table(request.output_path, columns, rows, request.format)
-    manifest = write_manifest(
-        request.output_path,
-        _manifest_payload(
-            request.quantity,
-            request.fixed_params,
-            request.axes,
-            spec,
-            columns,
-            len(rows),
-            request.format,
-            request.output_path,
-        ),
-    )
-    return {
-        "rows": len(rows),
-        "output": str(request.output_path),
-        "manifest": str(manifest),
-    }
-
-
-def _axis_param(name: str) -> str:
-    return {"R": "radius"}.get(name, name)
-
-
-def _validate_point(quantity: str, params: dict) -> None:
-    """Run the cheap constructors/checks for one grid point."""
-    if quantity in ("iso_nonlocal", "iso_thin", "validity"):
-        _iso_slab(params, quantity)
-        _require(params, ("l",), quantity)
-    elif quantity in ("aniso_parallel", "aniso_perp"):
-        array_slab(params, quantity)
-        _require(params, ("l",), quantity)
-    elif quantity == "crossover":
-        _require(params, ("l", "d_min", "d_max"), quantity)
-        array_slab({**params, "d": params["d_max"]}, quantity)
-    elif quantity == "lifshitz_local":
-        _require(params, ("l", "omega_p"), quantity)
-    elif quantity == "casimir":
-        _require(params, ("l",), quantity)
-    elif quantity == "main_terms":
-        _require(params, ("eps_b",), quantity)
-        if params["eps_b"] <= 1.0:
-            raise UsageError("main_terms requires eps_b > 1")
+    columns = [AXIS_COLUMNS[ax.name] for ax in request.axes] + list(record.columns)
+    return write_outputs(request, spec, columns, rows())
 
 
 # ---------------------------------------------------------------------------
-# Presets reproducing the standard figure data sets.
+# Presets reproducing the standard figure data sets.  Their grids are not
+# sweep axes, so each generates its own rows; the manifest records the
+# preset's settings as its fixed parameters.
 
 
 def preset_fig2(
@@ -422,30 +470,18 @@ def preset_fig2(
     to 1 as 1/eps_b -> 0.
     """
     spec = spec or QuadratureSpec()
-    _open_for_write(output_path)
-    inv_grid = [float(v) for v in np.geomspace(1.0e-3, 0.99, points)]
-    columns = ["inv_eps_b", "eps_b", "main_parallel", "main_perp"]
-    rows = []
-    for inv in inv_grid:
-        eps_b = 1.0 / inv
-        rows.append(
-            [inv, eps_b, main_term_parallel(eps_b, spec), main_term_perp(eps_b, spec)]
-        )
-    write_table(output_path, columns, rows)
-    manifest = write_manifest(
-        output_path,
-        _manifest_payload(
-            "main_terms",
-            {"preset": "fig2", "points": points},
-            (),
-            spec,
-            columns,
-            len(rows),
-            "csv",
-            output_path,
-        ),
+
+    def rows():
+        for inv in np.geomspace(1.0e-3, 0.99, points):
+            eps_b = 1.0 / float(inv)
+            yield [float(inv), eps_b, *_main_terms({"eps_b": eps_b}, None, spec).values()]
+
+    request = SweepRequest(
+        "main_terms", {"preset": "fig2", "points": points}, (), output_path
     )
-    return {"rows": len(rows), "output": str(output_path), "manifest": str(manifest)}
+    return write_outputs(
+        request, spec, ["inv_eps_b", "eps_b", "main_parallel", "main_perp"], rows()
+    )
 
 
 def preset_fig3(
@@ -456,56 +492,30 @@ def preset_fig3(
     """Isotropic nonlocal force vs separation for 10/20/200 nm slabs,
     with the local-metal force as a reference column."""
     spec = spec or QuadratureSpec()
-    _open_for_write(output_path)
     omega_p, eps_b = 2.0e16, 9.0
     l_grid = [float(v) for v in np.geomspace(100.0, 5000.0, points)]
-    columns = [
-        "d_nm",
-        "l_nm",
-        "ratio_to_casimir",
-        "pressure_pa",
-        "error_estimate",
-        "validity",
-        "ratio_lifshitz_local",
-    ]
-    rows = []
-    for d in (10.0, 20.0, 200.0):
-        slab = IsotropicSlab(omega_p3d=omega_p, thickness_d=d, eps_b=eps_b)
-        for l in l_grid:
-            res = nonlocal_isotropic_ratio(slab, l, spec)
-            local = lifshitz_force_local(omega_p, l)
-            rows.append(
-                [
-                    d,
-                    l,
-                    res.ratio_to_casimir,
-                    res.pressure,
-                    res.error_estimate,
-                    res.validity,
-                    local.ratio_to_casimir,
-                ]
-            )
-    write_table(output_path, columns, rows)
-    manifest = write_manifest(
-        output_path,
-        _manifest_payload(
-            "iso_nonlocal",
-            {
-                "preset": "fig3",
-                "omega_p": omega_p,
-                "eps_b": eps_b,
-                "d_values": [10.0, 20.0, 200.0],
-                "points": points,
-            },
-            (),
-            spec,
-            columns,
-            len(rows),
-            "csv",
-            output_path,
-        ),
+
+    def rows():
+        for d in (10.0, 20.0, 200.0):
+            slab = IsotropicSlab(omega_p3d=omega_p, thickness_d=d, eps_b=eps_b)
+            for l in l_grid:
+                res = nonlocal_isotropic_ratio(slab, l, spec)
+                local = lifshitz_force_local(omega_p, l)
+                yield [d, l, *_force_row(res).values(), local.ratio_to_casimir]
+
+    settings = {
+        "preset": "fig3",
+        "omega_p": omega_p,
+        "eps_b": eps_b,
+        "d_values": [10.0, 20.0, 200.0],
+        "points": points,
+    }
+    return write_outputs(
+        SweepRequest("iso_nonlocal", settings, (), output_path),
+        spec,
+        ["d_nm", "l_nm", *FORCE_COLUMNS, "ratio_lifshitz_local"],
+        rows(),
     )
-    return {"rows": len(rows), "output": str(output_path), "manifest": str(manifest)}
 
 
 _FIG4_PANELS = {
@@ -532,88 +542,48 @@ def preset_fig4(
     arrays (period = 2R), free-standing, omega_p = 2e16 1/s.
     """
     spec = spec or QuadratureSpec()
+    if not panels:
+        raise UsageError("fig4 needs at least one panel")
     for panel in panels:
         if panel not in _FIG4_PANELS:
             raise UsageError(f"unknown fig4 panel {panel!r}")
-    _open_for_write(output_path)
     omega_p = 2.0e16
     l_grid = [float(v) for v in np.geomspace(500.0, 5000.0, l_points)]
-    main_cache: dict[float, tuple[float, float]] = {}
-    columns = [
-        "panel",
-        "eps_b",
-        "radius_nm",
-        "layers",
-        "d_nm",
-        "l_nm",
-        "ratio_parallel",
-        "error_parallel",
-        "validity_parallel",
-        "ratio_perp",
-        "error_perp",
-        "validity_perp",
-        "main_parallel",
-        "main_perp",
-    ]
-    rows = []
-    for panel in panels:
-        eps_b, mode = _FIG4_PANELS[panel]
-        if eps_b not in main_cache:
-            main_cache[eps_b] = (
-                main_term_parallel(eps_b, spec),
-                main_term_perp(eps_b, spec),
-            )
-        mpar, mperp = main_cache[eps_b]
-        if mode == "radius":
-            configs = [
-                (float(r), 5) for r in np.linspace(0.5, 4.0, d_points)
-            ]
-        else:
-            configs = [(2.0, n) for n in range(1, d_points + 1)]
-        for radius, layers in configs:
-            d = layers * 2.0 * radius
-            slab = NanotubeArraySlab(
-                omega_p3d=omega_p, radius_R=radius, thickness_d=d, eps_b=eps_b
-            )
-            for l in l_grid:
-                par = f_parallel_ratio(slab, l, spec)
-                perp = f_perp_ratio(slab, l, spec)
-                rows.append(
-                    [
-                        panel,
-                        eps_b,
-                        radius,
-                        layers,
-                        d,
-                        l,
-                        par.ratio_to_casimir,
-                        par.error_estimate,
-                        par.validity,
-                        perp.ratio_to_casimir,
-                        perp.error_estimate,
-                        perp.validity,
-                        mpar,
-                        mperp,
-                    ]
+
+    def rows():
+        main_terms: dict[float, list] = {}
+        for panel in panels:
+            eps_b, mode = _FIG4_PANELS[panel]
+            if eps_b not in main_terms:
+                main_terms[eps_b] = list(_main_terms({"eps_b": eps_b}, None, spec).values())
+            if mode == "radius":
+                configs = [(float(r), 5) for r in np.linspace(0.5, 4.0, d_points)]
+            else:
+                configs = [(2.0, n) for n in range(1, d_points + 1)]
+            for radius, layers in configs:
+                d = layers * 2.0 * radius
+                slab = NanotubeArraySlab(
+                    omega_p3d=omega_p, radius_R=radius, thickness_d=d, eps_b=eps_b
                 )
-    write_table(output_path, columns, rows)
-    manifest = write_manifest(
-        output_path,
-        _manifest_payload(
-            "aniso_parallel",
-            {
-                "preset": "fig4",
-                "panels": panels,
-                "omega_p": omega_p,
-                "d_points": d_points,
-                "l_points": l_points,
-            },
-            (),
-            spec,
-            columns,
-            len(rows),
-            "csv",
-            output_path,
-        ),
+                for l in l_grid:
+                    row = [panel, eps_b, radius, layers, d, l]
+                    forces = orientation_forces(slab, l, spec)
+                    for res in (forces.f_parallel, forces.f_perp):
+                        row += [res.ratio_to_casimir, res.error_estimate, res.validity]
+                    yield row + main_terms[eps_b]
+
+    settings = {
+        "preset": "fig4",
+        "panels": panels,
+        "omega_p": omega_p,
+        "d_points": d_points,
+        "l_points": l_points,
+    }
+    return write_outputs(
+        SweepRequest("aniso_parallel", settings, (), output_path),
+        spec,
+        ["panel", "eps_b", "radius_nm", "layers", "d_nm", "l_nm"]
+        + [f"{c}_{o}" for o in ("parallel", "perp") for c in ("ratio", "error", "validity")]
+        + ["main_parallel", "main_perp"],
+        rows(),
     )
-    return {"rows": len(rows), "output": str(output_path), "manifest": str(manifest)}

@@ -1,18 +1,32 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from casimir_slabs import sweep
 from casimir_slabs.cli import main, run_point
-from casimir_slabs.quadrature import QuadratureSpec
-from casimir_slabs.sweep import evaluate_quantity
+from casimir_slabs.quadrature import QuadratureError, QuadratureSpec
+from casimir_slabs.sweep import evaluate_quantity, format_value
 
 FAST = ["--rel-tol", "1e-6", "--abs-tol", "1e-10"]
+# Expected bytes of the files the small runs below write, by file name.
+# A difference is a change of output, which a refactor must not make.
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_golden(*paths):
+    for path in paths:
+        assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), path.name
+
+
+def with_manifest(path):
+    return path, path.with_name(path.name + ".manifest.json")
 
 
 def result_records(stdout):
@@ -90,6 +104,30 @@ class TestPointCommands:
         assert result_records(out)[0]["validity"] == "quadrature_failed"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "iso-thin --d-nm 10 --l-nm 1000 --eps-sub 0",
+        "iso-thin --d-nm 10 --l-nm 1000 --eps-sup 0",
+        "aniso --layers 5 --l-nm 1000 --eps-sub 0",
+        "validity --d-nm 20 --l-nm 1000 --threshold 0",
+        "casimir --l-nm 1000 --rel-tol 0",
+        "casimir --l-nm 1000 --config {tmp}/empty-transform.conf",
+        "preset fig2 --points 0 --out {tmp}/x.csv",
+        "preset fig4 --d-points 0 --out {tmp}/x.csv",
+        "preset fig4 --l-points 0 --out {tmp}/x.csv",
+        "crossover --l-nm 1000 --d-min-nm 40 --d-max-nm 50 --curve-out {tmp}/x.csv "
+        "--curve-points 0",
+    ],
+)
+def test_explicit_zero_is_not_replaced_by_default(capsys, tmp_path, argv):
+    (tmp_path / "empty-transform.conf").write_text("p-transform =\n")
+    code, out, _ = run(capsys, *argv.format(tmp=tmp_path).split())
+    assert code == 2
+    assert "RESULT" not in out
+    assert not (tmp_path / "x.csv").exists()
+
+
 class TestConfigFile:
     def test_config_supplies_missing_flags(self, capsys, tmp_path):
         config = tmp_path / "run.conf"
@@ -160,6 +198,7 @@ class TestSweep:
         assert manifest["quantity"] == "iso_nonlocal"
         assert manifest["quadrature"]["rel_tol"] == 1e-6
         assert manifest["rows"] == 3
+        assert_golden(*with_manifest(out))
 
     def test_json_format(self, capsys, tmp_path):
         out = tmp_path / "sweep.json"
@@ -169,6 +208,7 @@ class TestSweep:
         payload = json.loads(out.read_text())
         assert payload["columns"][0] == "l_nm"
         assert len(payload["rows"]) == 3
+        assert_golden(*with_manifest(out))
 
     def test_unwritable_path_fails_before_compute(self, capsys):
         code, _, err = run(
@@ -194,6 +234,64 @@ class TestSweep:
             "--out", out,
         )
         assert too_many[0] == 2
+        # an axis the quantity does not read, or d together with layers
+        ignored = [
+            ("casimir", "--axis", "d:1:10:3", "--l-nm", "1000"),
+            ("lifshitz_local", "--axis", "R:1:3:2"),
+            ("crossover", "--axis", "d:10:20:2", "--l-nm", "1000",
+             "--d-min-nm", "40", "--d-max-nm", "50"),
+            ("aniso_parallel", "--axis", "layers:1:3:3", "--d-nm", "20",
+             "--l-nm", "1000"),
+        ]
+        for quantity, *flags in ignored:
+            code, _, err = run(
+                capsys, "sweep", "--quantity", quantity, *flags, "--out", out,
+            )
+            assert code == 2, quantity
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_failed_sweep_keeps_existing_output(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "keep.csv"
+        manifest = tmp_path / "keep.csv.manifest.json"
+        out.write_bytes(b"earlier,run\n")
+        manifest.write_bytes(b"{}\n")
+        inverted = run(
+            capsys, "sweep", "--quantity", "crossover", "--axis", "l:900:1100:2",
+            "--d-min-nm", "100", "--d-max-nm", "4", "--out", str(out),
+        )
+        assert inverted[0] == 2
+
+        evaluate, calls = sweep.evaluate_quantity, []
+
+        def fail_on_second_point(quantity, params, spec):
+            calls.append(params)
+            if len(calls) == 2:
+                raise QuadratureError("injected failure")
+            return evaluate(quantity, params, spec)
+
+        monkeypatch.setattr(sweep, "evaluate_quantity", fail_on_second_point)
+        failed = run(
+            capsys, "sweep", "--quantity", "casimir", "--axis", "l:100:1000:3",
+            "--out", str(out),
+        )
+        assert failed[0] == 3
+        assert len(calls) == 2
+        assert out.read_bytes() == b"earlier,run\n"
+        assert manifest.read_bytes() == b"{}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [out.name, manifest.name]
+
+    def test_main_terms_sweep_defaults_to_array_eps_b(self, capsys, tmp_path):
+        out = tmp_path / "main.csv"
+        assert main(["sweep", "--quantity", "main_terms", "--out", str(out), *FAST]) == 0
+        code, stdout, _ = run(capsys, "main-terms", *FAST)
+        assert code == 0
+        point = result_records(stdout)[0]
+        manifest = json.loads((tmp_path / "main.csv.manifest.json").read_text())
+        assert manifest["fixed_params"]["eps_b"] == point["params"]["eps_b"] == 10.0
+        row = out.read_text().splitlines()[1]
+        assert row == ",".join(
+            format_value(point[c]) for c in ("main_parallel", "main_perp")
+        )
 
     def test_grid_invariants_checked_before_compute(self, capsys, tmp_path):
         # layers axis reaching below one monolayer must fail upfront
@@ -239,6 +337,8 @@ class TestCrossoverCommand:
         # anisotropy column changes sign across the bracket
         first, last = rows[0].split(","), rows[-1].split(",")
         assert float(first[3]) < 0.0 < float(last[3])
+        assert_golden(curve)
+        assert (tmp_path / "curve.csv.manifest.json").exists()
 
 
 class TestPresets:
@@ -256,6 +356,7 @@ class TestPresets:
         assert float(first[0]) == pytest.approx(1e-3, rel=1e-9)
         assert float(first[2]) > 0.8
         assert float(first[3]) > 0.8
+        assert_golden(*with_manifest(out))
 
     def test_fig3_structure(self, capsys, tmp_path):
         out = tmp_path / "fig3.csv"
@@ -270,6 +371,7 @@ class TestPresets:
         for row in rows:
             cells = row.split(",")
             assert float(cells[2]) < float(cells[6])  # nonlocal below local
+        assert_golden(*with_manifest(out))
 
     def test_fig4_structure(self, capsys, tmp_path):
         out = tmp_path / "fig4.csv"
@@ -292,6 +394,7 @@ class TestPresets:
                 cells[idx["main_parallel"]]
             )
             assert float(cells[idx["ratio_perp"]]) < float(cells[idx["main_perp"]])
+        assert_golden(*with_manifest(out))
 
     def test_preset_requires_out(self, capsys):
         assert run(capsys, "preset", "fig2")[0] == 2
