@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 from .constants import C_NM_PER_S, PI4
-from .lifshitz import RATIO_NORM, ForceResult, _flag, _force_result
+from .lifshitz import RATIO_NORM, ForceResult, _flag, _force_result, casimir_pressure
 from .quadrature import IntegralResult, QuadratureError, QuadratureSpec, integrate_xp
 from .response import NanotubeArraySlab, eps_tilde
 from .special import bessel_i0k0_product
@@ -71,6 +72,8 @@ def psi(p: float, eps_b: float) -> float:
     return (s + eps_b * p) ** 2 / ((eps_b - 1.0) * (1.0 - pp * (eps_b + 1.0)))
 
 
+# Main terms depend on (eps_b, spec) only: computed once, then reused.
+@lru_cache(maxsize=None)
 def _main_parallel_integral(
     eps_b: float, spec: QuadratureSpec | None
 ) -> IntegralResult:
@@ -81,6 +84,7 @@ def _main_parallel_integral(
     return integrate_xp(f, spec)
 
 
+@lru_cache(maxsize=None)
 def _main_perp_integral(eps_b: float, spec: QuadratureSpec | None) -> IntegralResult:
     def f(x: float, p: float) -> float:
         emx = math.exp(-x)
@@ -132,13 +136,13 @@ def _assemble(
     corr: IntegralResult,
     main_offset: float,
     corr_coef: float,
-    l: float,
+    f_c: float,
 ) -> ForceResult:
     main_val = main_offset + RATIO_NORM * main.value
     corr_val = corr_coef * corr.value
     err = RATIO_NORM * main.error_estimate + corr_coef * corr.error_estimate
     validity = _flag(main.converged and corr.converged, corr_val, main_val)
-    return _force_result(main_val - corr_val, l, err, validity)
+    return _force_result(main_val - corr_val, f_c, err, validity)
 
 
 def f_parallel_ratio(
@@ -148,8 +152,7 @@ def f_parallel_ratio(
 
     Main term 1/2 + phi^2-damped dielectric channel, minus the
     Bessel-weighted finite-plasma-frequency correction."""
-    if l <= 0.0:
-        raise ValueError(f"separation must be > 0, got {l} nm")
+    f_c = casimir_pressure(l)
     radical = _radical_fn(array, l)
 
     def fcorr(x: float, p: float) -> float:
@@ -160,7 +163,7 @@ def f_parallel_ratio(
     main = _main_parallel_integral(array.eps_b, spec)
     corr = integrate_xp(fcorr, spec, p_singularity_order=0.5)
     coef = 15.0 * C_NM_PER_S / (PI4 * array.omega_p3d * l)
-    return _assemble(main, corr, 0.5, coef, l)
+    return _assemble(main, corr, 0.5, coef, f_c)
 
 
 def f_perp_ratio(
@@ -171,8 +174,7 @@ def f_perp_ratio(
     Both channels are metal-dielectric; the correction carries the same
     radical as the co-aligned case at half the prefactor, weighted by
     the squared round-trip denominators."""
-    if l <= 0.0:
-        raise ValueError(f"separation must be > 0, got {l} nm")
+    f_c = casimir_pressure(l)
     eps_b = array.eps_b
     radical = _radical_fn(array, l)
 
@@ -188,7 +190,7 @@ def f_perp_ratio(
     main = _main_perp_integral(eps_b, spec)
     corr = integrate_xp(fcorr, spec, p_singularity_order=0.5)
     coef = 15.0 * C_NM_PER_S / (2.0 * PI4 * array.omega_p3d * l)
-    return _assemble(main, corr, 0.0, coef, l)
+    return _assemble(main, corr, 0.0, coef, f_c)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Single-point evaluations, parameter sweeps, crossover searches and
 applicability reports.  All lengths are nm, frequencies s^-1 (scientific
-notation accepted).  Flags override an optional key-value config file
-(--config), which overrides the built-in defaults.
+notation accepted).  The lines of an optional key-value config file
+(--config) are parsed as the flags they name; flags given on the command
+line override them, and both override the built-in defaults.
 
 Exit codes: 0 success (crossover found), 1 crossover not found,
 2 usage error, 3 quadrature failure, 4 I/O error.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import NamedTuple, Sequence
 
@@ -35,6 +37,32 @@ from .sweep import (
 )
 
 
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _sweep_axis(text: str) -> SweepAxis:
+    parts = text.split(":")
+    try:
+        if len(parts) not in (4, 5):
+            raise ValueError("expected NAME:FROM:TO:POINTS[:SPACING]")
+        name, start, stop, points, *spacing = parts
+        bounds = finite_float(start), finite_float(stop)
+        return SweepAxis(name, *bounds, int(points), *spacing)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise argparse.ArgumentTypeError(f"bad axis {text!r}: {exc}") from None
+
+
 class Flag(NamedTuple):
     """One long flag: its type (or a tuple of choices), the evaluator
     parameter it sets, its built-in default and its help text."""
@@ -46,38 +74,38 @@ class Flag(NamedTuple):
 
 
 # Every flag, keyed by argparse dest.  eps_b has no default here: it
-# defaults per quantity (Quantity.eps_b_default).
+# defaults per quantity (Quantity.eps_b_default); the quadrature flags
+# leave theirs to QuadratureSpec.
 FLAGS = {
-    "l_nm": Flag(float, "l", help="separation between slabs, nm"),
-    "d_nm": Flag(float, "d", help="slab thickness, nm"),
-    "eps_b": Flag(float, "eps_b", help="in-plane background permittivity"),
+    "l_nm": Flag(finite_float, "l", help="separation between slabs, nm"),
+    "d_nm": Flag(finite_float, "d", help="slab thickness, nm"),
+    "eps_b": Flag(finite_float, "eps_b", help="in-plane background permittivity"),
     # free-electron-gas bulk plasma frequency, free-standing environment
-    "omega_p": Flag(float, "omega_p", 2.0e16, "bulk plasma frequency, 1/s"),
-    "eps_sub": Flag(float, "eps_sub", 1.0, "substrate permittivity"),
-    "eps_sup": Flag(float, "eps_sup", 1.0, "superstrate permittivity"),
-    "radius_nm": Flag(float, "radius", 2.0, "nanotube radius, nm"),
-    "delta_nm": Flag(float, "delta", help="array period, nm (default 2R)"),
+    "omega_p": Flag(finite_float, "omega_p", 2.0e16, "bulk plasma frequency, 1/s"),
+    "eps_sub": Flag(finite_float, "eps_sub", 1.0, "substrate permittivity"),
+    "eps_sup": Flag(finite_float, "eps_sup", 1.0, "superstrate permittivity"),
+    "radius_nm": Flag(finite_float, "radius", 2.0, "nanotube radius, nm"),
+    "delta_nm": Flag(finite_float, "delta", help="array period, nm (default 2R)"),
     "layers": Flag(int, "layers", help="number of monolayers (d = 2R layers)"),
-    "threshold": Flag(float, "threshold", 0.01, "deviation threshold"),
-    "d_min_nm": Flag(float, "d_min", help="lower thickness bracket, nm"),
-    "d_max_nm": Flag(float, "d_max", help="upper thickness bracket, nm"),
+    "threshold": Flag(finite_float, "threshold", 0.01, "deviation threshold"),
+    "d_min_nm": Flag(finite_float, "d_min", help="lower thickness bracket, nm"),
+    "d_max_nm": Flag(finite_float, "d_max", help="upper thickness bracket, nm"),
     "orientation": Flag(("parallel", "perp", "both"), default="both"),
     "out": Flag(str, help="output file path"),
     "format": Flag(("csv", "json"), default="csv"),
     "curve_out": Flag(str, help="CSV of the anisotropy curve over the bracket"),
-    "curve_points": Flag(int, default=25, help="points of the anisotropy curve"),
-    "points": Flag(int),
-    "d_points": Flag(int),
-    "l_points": Flag(int),
+    "curve_points": Flag(positive_int, default=25, help="points of the curve"),
+    "points": Flag(positive_int),
+    "d_points": Flag(positive_int),
+    "l_points": Flag(positive_int),
     "panels": Flag(str, help="fig4 panels, e.g. ab"),
-    "rel_tol": Flag(float, default=QuadratureSpec.rel_tol),
-    "abs_tol": Flag(float, default=QuadratureSpec.abs_tol),
-    "p_transform": Flag(
-        ("hyperbolic", "shifted-square"), default=QuadratureSpec.p_transform
-    ),
+    "rel_tol": Flag(finite_float),
+    "abs_tol": Flag(finite_float),
+    "p_transform": Flag(("hyperbolic", "shifted-square")),
     "config": Flag(str, help="key = value file of flags"),
 }
 _PARAM_DEST = {flag.key: dest for dest, flag in FLAGS.items() if flag.key}
+QUADRATURE_FLAGS = ("rel_tol", "abs_tol", "p_transform")
 
 # Point subcommands: help, the quantities they evaluate, their other flags.
 COMMANDS = {
@@ -101,12 +129,13 @@ COMMANDS = {
 
 
 def _add_flags(parser: argparse.ArgumentParser, dests: Sequence[str]) -> None:
-    for dest in (*dests, "rel_tol", "abs_tol", "p_transform", "config"):
+    for dest in (*dests, "config"):
         flag = FLAGS[dest]
         kind = "choices" if isinstance(flag.kind, tuple) else "type"
         parser.add_argument(
             "--" + dest.replace("_", "-"),
             default=None,
+            required=dest == "out",  # the commands that take --out write it
             help=flag.help,
             **{kind: flag.kind},
         )
@@ -121,86 +150,80 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for command, (text, quantities, extra) in COMMANDS.items():
-        params = QUANTITIES[quantities[0]].params
-        _add_flags(
-            sub.add_parser(command, help=text),
-            [*(_PARAM_DEST[key] for key in params), *extra],
-        )
+        record = QUANTITIES[quantities[0]]
+        params = [_PARAM_DEST[key] for key in record.params]
+        quadrature = QUADRATURE_FLAGS if record.integrates else ()
+        _add_flags(sub.add_parser(command, help=text), [*params, *extra, *quadrature])
 
     sweep = sub.add_parser("sweep", help="parameter grid to CSV/JSON")
     sweep.add_argument("--quantity", required=True, choices=QUANTITIES)
     sweep.add_argument(
         "--axis",
         action="append",
-        default=None,
+        type=_sweep_axis,
         metavar="NAME:FROM:TO:POINTS[:SPACING]",
         help="swept axis (name in d,l,eps_b,R,layers); up to two",
     )
-    _add_flags(sweep, [*_PARAM_DEST.values(), "out", "format"])
+    _add_flags(sweep, [*_PARAM_DEST.values(), "out", "format", *QUADRATURE_FLAGS])
 
     preset = sub.add_parser("preset", help="standard figure data sets")
     preset.add_argument("name", choices=("fig2", "fig3", "fig4"))
-    _add_flags(preset, ["points", "d_points", "l_points", "panels", "out"])
+    sizes = ("points", "d_points", "l_points", "panels")
+    _add_flags(preset, [*sizes, "out", *QUADRATURE_FLAGS])
     return parser
 
 
-def _load_config(path: str) -> dict:
-    values: dict[str, str] = {}
+def _load_config(path: str) -> list[str]:
+    """The file's ``key = value`` lines as ``--key=value`` arguments."""
+    arguments = []
     with open(path) as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" in line:
-                key, value = line.split("=", 1)
-            elif ":" in line:
-                key, value = line.split(":", 1)
-            else:
+            key, sep, value = line.partition("=" if "=" in line else ":")
+            if not sep:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
+            arguments.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return arguments
 
 
-def _resolve(args: argparse.Namespace, eps_b_default: float | None) -> None:
-    """Fill every flag left unset: from --config, else from its default.
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the --config lines put right after the subcommand,
+    argv[0], so that a flag given on the command line comes later and wins."""
+    pre = argparse.ArgumentParser(
+        prog="casimir-slabs", usage=argparse.SUPPRESS, add_help=False
+    )
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config
+    if config:
+        argv = [*argv[:1], *_load_config(config), *argv[1:]]
+    return _build_parser().parse_args(argv)
+
+
+def _reject_given(args: argparse.Namespace, dests: Sequence[str], why: str) -> None:
+    """A usage error if any of these flags was set, by a flag or by --config."""
+    given = [dest for dest in dests if getattr(args, dest, None) is not None]
+    if given:
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
+        raise UsageError(f"{flags}: {why}")
+
+
+def _resolve(
+    args: argparse.Namespace, eps_b_default: float | None
+) -> tuple[dict, QuadratureSpec]:
+    """Fill every flag left unset with its default, then return the
+    evaluator parameters and the quadrature spec the command's flags set.
 
     A value given explicitly is kept as given, 0 included."""
-    config = _load_config(args.config) if args.config else {}
     for dest, value in list(vars(args).items()):
-        if value is not None:
-            continue
-        flag = FLAGS.get(dest, Flag(str))
-        if dest in config:
-            raw = config[dest]
-            value = raw if isinstance(flag.kind, tuple) else flag.kind(raw)
-        else:
-            value = eps_b_default if dest == "eps_b" else flag.default
-        setattr(args, dest, value)
-    for dest in ("points", "d_points", "l_points", "curve_points"):
-        if getattr(args, dest, None) is not None and getattr(args, dest) < 1:
-            raise UsageError(f"--{dest.replace('_', '-')} must be >= 1")
-
-
-def _params(args: argparse.Namespace) -> dict:
-    return {key: getattr(args, dest) for key, dest in _PARAM_DEST.items()
-            if hasattr(args, dest)}
-
-
-def _spec(args: argparse.Namespace) -> QuadratureSpec:
-    return QuadratureSpec(
-        rel_tol=args.rel_tol, abs_tol=args.abs_tol, p_transform=args.p_transform
-    )
-
-
-def _print_result(quantity: str, params: dict, outputs: dict) -> None:
-    for key, value in outputs.items():
-        print(f"{key}: {format_value(value)}")
-    record = {
-        "quantity": quantity,
-        "params": {k: v for k, v in sorted(params.items()) if v is not None},
-        **outputs,
-    }
-    print("RESULT " + json.dumps(record, sort_keys=True))
+        if value is None and dest in FLAGS:
+            default = eps_b_default if dest == "eps_b" else FLAGS[dest].default
+            setattr(args, dest, default)
+    params = {key: getattr(args, dest) for key, dest in _PARAM_DEST.items()
+              if hasattr(args, dest)}
+    given = {dest: getattr(args, dest, None) for dest in QUADRATURE_FLAGS}
+    return params, QuadratureSpec(**{k: v for k, v in given.items() if v is not None})
 
 
 def run_point(quantity: str, params: dict, spec: QuadratureSpec) -> int:
@@ -210,17 +233,28 @@ def run_point(quantity: str, params: dict, spec: QuadratureSpec) -> int:
     sign change, else 0.
     """
     outputs = evaluate_quantity(quantity, params, spec)
-    _print_result(quantity, params, outputs)
+    for key, value in outputs.items():
+        print(f"{key}: {format_value(value)}")
+    record = {
+        "quantity": quantity,
+        "params": {k: v for k, v in sorted(params.items()) if v is not None},
+        **outputs,
+    }
+    print("RESULT " + json.dumps(record, sort_keys=True))
     if any(v == "quadrature_failed" for v in outputs.values()):
         return 3
     return 1 if quantity == "crossover" and outputs["crossover_d_nm"] is None else 0
 
 
-def _write_curve(path: str, n: int, params: dict, spec: QuadratureSpec) -> None:
-    """Both orientation forces at n evenly spaced thicknesses of the bracket."""
+def _crossover_with_curve(path: str, n: int, params: dict, spec: QuadratureSpec) -> int:
+    """The search, then both orientation forces at n evenly spaced
+    thicknesses of the bracket, all inside write_outputs: a path that
+    cannot be written fails first."""
     step = (params["d_max"] - params["d_min"]) / max(n - 1, 1)
+    codes = []
 
     def rows():
+        codes.append(run_point("crossover", params, spec))
         for i in range(n):
             d = params["d_min"] + i * step
             slab = array_slab({**params, "d": d}, "crossover")
@@ -233,35 +267,27 @@ def _write_curve(path: str, n: int, params: dict, spec: QuadratureSpec) -> None:
         request, spec, ["d_nm", "ratio_parallel", "ratio_perp", "anisotropy"], rows()
     )
     print(f"anisotropy curve written to {path}")
-
-
-def _parse_axis(text: str) -> SweepAxis:
-    parts = text.split(":")
-    if len(parts) not in (4, 5):
-        raise UsageError(
-            f"axis must be NAME:FROM:TO:POINTS[:SPACING], got {text!r}"
-        )
-    name, start, stop, points = parts[0], parts[1], parts[2], parts[3]
-    spacing = parts[4] if len(parts) == 5 else "linear"
-    try:
-        return SweepAxis(name, float(start), float(stop), int(points), spacing)
-    except ValueError as exc:
-        raise UsageError(f"bad axis {text!r}: {exc}") from None
+    return codes[0]
 
 
 def _run_sweep_cmd(args: argparse.Namespace) -> int:
-    if not args.out:
-        raise UsageError("sweep requires --out")
-    axes = tuple(_parse_axis(a) for a in (args.axis or []))
+    record = QUANTITIES[args.quantity]
+    axes = tuple(args.axis or ())
     swept = {ax.param for ax in axes}
+    unread = [dest for key, dest in _PARAM_DEST.items() if key not in record.params]
+    _reject_given(args, unread, f"not read by {args.quantity}")
+    _reject_given(args, [_PARAM_DEST[key] for key in swept], "set by a sweep axis")
+    if not record.integrates:
+        _reject_given(args, QUADRATURE_FLAGS, f"{args.quantity} does not integrate")
+    params, spec = _resolve(args, record.eps_b_default)
     request = SweepRequest(
         quantity=args.quantity,
-        fixed_params={k: v for k, v in _params(args).items() if k not in swept},
+        fixed_params={k: v for k, v in params.items() if k not in swept},
         axes=axes,
         output_path=args.out,
         format=args.format,
     )
-    summary = run_sweep(request, _spec(args))
+    summary = run_sweep(request, spec)
     print(
         f"wrote {summary['rows']} rows to {summary['output']} "
         f"(manifest: {summary['manifest']})"
@@ -270,21 +296,21 @@ def _run_sweep_cmd(args: argparse.Namespace) -> int:
 
 
 def _run_preset(args: argparse.Namespace) -> int:
-    _resolve(args, None)
-    if not args.out:
-        raise UsageError("preset requires --out")
     if args.name == "fig4":
-        sizes = {
-            "d_points": args.points if args.d_points is None else args.d_points,
-            "l_points": args.points if args.l_points is None else args.l_points,
+        if args.d_points and args.l_points:
+            _reject_given(args, ("points",), "--d-points and --l-points set both")
+        sizes = {  # counts are >= 1, so `or` only replaces an absent one
+            "d_points": args.d_points or args.points,
+            "l_points": args.l_points or args.points,
             "panels": args.panels,
         }
     else:
+        _reject_given(args, ("d_points", "l_points", "panels"), "read by fig4 only")
         sizes = {"points": args.points}
     preset = {"fig2": preset_fig2, "fig3": preset_fig3, "fig4": preset_fig4}[args.name]
     summary = preset(
         args.out,
-        spec=_spec(args),
+        spec=_resolve(args, None)[1],
         **{k: v for k, v in sizes.items() if v is not None},
     )
     print(f"wrote {summary['rows']} rows to {summary['output']}")
@@ -294,28 +320,25 @@ def _run_preset(args: argparse.Namespace) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "preset":
         return _run_preset(args)
-    sweep = args.command == "sweep"
-    quantities = (args.quantity,) if sweep else COMMANDS[args.command][1]
-    _resolve(args, QUANTITIES[quantities[0]].eps_b_default)
-    if sweep:
+    if args.command == "sweep":
         return _run_sweep_cmd(args)
-    params, spec = _params(args), _spec(args)
+    quantities = COMMANDS[args.command][1]
+    curve_out = getattr(args, "curve_out", None)
+    if curve_out is None:
+        _reject_given(args, ("curve_points",), "read only with --curve-out")
+    params, spec = _resolve(args, QUANTITIES[quantities[0]].eps_b_default)
+    if curve_out is not None:
+        return _crossover_with_curve(curve_out, args.curve_points, params, spec)
     if args.command == "aniso" and args.orientation != "both":
         quantities = ("aniso_" + args.orientation,)
-    code = max(run_point(quantity, params, spec) for quantity in quantities)
-    if getattr(args, "curve_out", None):
-        _write_curve(args.curve_out, args.curve_points, params, spec)
-    return code
+    return max(run_point(quantity, params, spec) for quantity in quantities)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        return _dispatch(_parse(list(sys.argv[1:] if argv is None else argv)))
     except SystemExit as exc:  # argparse prints its own message
         return int(exc.code or 0)
-    try:
-        return _dispatch(args)
     except QuadratureError as exc:
         print(f"quadrature failure: {exc}", file=sys.stderr)
         return 3

@@ -63,8 +63,8 @@ class ForceResult:
     validity: Validity
 
 
-def _force_result(ratio: float, l: float, err: float, validity: Validity) -> ForceResult:
-    return ForceResult(ratio, ratio * casimir_pressure(l), err, validity)
+def _force_result(ratio: float, f_c: float, err: float, flag: Validity) -> ForceResult:
+    return ForceResult(ratio, ratio * f_c, err, flag)
 
 
 def _flag(converged: bool, correction: float, leading: float = 1.0) -> Validity:
@@ -76,11 +76,18 @@ def _flag(converged: bool, correction: float, leading: float = 1.0) -> Validity:
 
 
 def casimir_pressure(l: float) -> float:
-    """Ideal-conductor attraction hbar c pi^2 / (240 l^4) in Pa, l in nm."""
-    if l <= 0.0:
-        raise ValueError(f"separation must be > 0, got {l} nm")
+    """Ideal-conductor attraction hbar c pi^2 / (240 l^4) in Pa, l in nm.
+
+    Every evaluator calls it first, as its separation check: NaN, inf,
+    l <= 0 and a pressure that under- or overflows raise ValueError."""
     l_m = l * 1.0e-9
-    return HBAR_C_J_M * math.pi ** 2 / (240.0 * l_m ** 4)
+    try:
+        pressure = HBAR_C_J_M * math.pi ** 2 / (240.0 * l_m ** 4)
+    except (ZeroDivisionError, OverflowError):
+        pressure = math.nan
+    if not (l > 0.0 and 0.0 < pressure < math.inf):
+        raise ValueError(f"separation must be > 0 with a finite pressure, got {l} nm")
+    return pressure
 
 
 def lifshitz_pressure_general(
@@ -97,8 +104,7 @@ def lifshitz_pressure_general(
     differences A - 1 in exact rational form, which keeps the integrand
     stable both in the near-vacuum and in the near-conductor limits.
     """
-    if l <= 0.0:
-        raise ValueError(f"separation must be > 0, got {l} nm")
+    f_c = casimir_pressure(l)
     half_cl = C_NM_PER_S / (2.0 * l)
 
     def f(x: float, p: float) -> float:
@@ -131,7 +137,7 @@ def lifshitz_pressure_general(
     ratio = RATIO_NORM * res.value
     err = RATIO_NORM * res.error_estimate
     validity: Validity = "valid" if res.converged else "quadrature_failed"
-    return _force_result(ratio, l, err, validity)
+    return _force_result(ratio, f_c, err, validity)
 
 
 def lifshitz_force_local(omega_p: float, l: float) -> ForceResult:
@@ -143,10 +149,9 @@ def lifshitz_force_local(omega_p: float, l: float) -> ForceResult:
     """
     if omega_p <= 0.0:
         raise ValueError(f"omega_p must be > 0, got {omega_p}")
-    if l <= 0.0:
-        raise ValueError(f"separation must be > 0, got {l} nm")
+    f_c = casimir_pressure(l)
     corr = 16.0 * C_NM_PER_S / (3.0 * omega_p * l)
-    return _force_result(1.0 - corr, l, 0.0, _flag(True, corr))
+    return _force_result(1.0 - corr, f_c, 0.0, _flag(True, corr))
 
 
 def nonlocal_isotropic_ratio(
@@ -159,8 +164,7 @@ def nonlocal_isotropic_ratio(
     which diverges as (p^2-1)^(-1/2) at normal incidence and leaves an
     integrable (p^2-1)^(-1/4) factor in the p integrand.
     """
-    if l <= 0.0:
-        raise ValueError(f"separation must be > 0, got {l} nm")
+    f_c = casimir_pressure(l)
     beta = 2.0 * l / (eps_tilde(slab) * slab.thickness_d)
 
     def f(x: float, p: float) -> float:
@@ -173,7 +177,7 @@ def nonlocal_isotropic_ratio(
     coef = 15.0 * C_NM_PER_S / (PI4 * slab.omega_p3d * l)
     corr = coef * res.value
     return _force_result(
-        1.0 - corr, l, coef * res.error_estimate, _flag(res.converged, corr)
+        1.0 - corr, f_c, coef * res.error_estimate, _flag(res.converged, corr)
     )
 
 
@@ -209,11 +213,10 @@ def thin_limit_ratio(slab: IsotropicSlab, l: float) -> ForceResult:
     the 1/l of the local-metal force: thinner slabs stay farther from
     the ideal-conductor limit even at large separation.
     """
-    if l <= 0.0:
-        raise ValueError(f"separation must be > 0, got {l} nm")
+    f_c = casimir_pressure(l)
     coeff, coeff_err = _thin_limit_parts(QuadratureSpec())
     scale = C_NM_PER_S / (
         slab.omega_p3d * math.sqrt(eps_tilde(slab) * slab.thickness_d * l)
     )
     corr = coeff * scale
-    return _force_result(1.0 - corr, l, coeff_err * scale, _flag(True, corr))
+    return _force_result(1.0 - corr, f_c, coeff_err * scale, _flag(True, corr))

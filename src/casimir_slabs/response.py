@@ -47,7 +47,7 @@ class IsotropicSlab:
     eps_b: float              # in-plane background permittivity
     eps_sub: float = 1.0      # substrate static permittivity (free-standing = 1)
     eps_sup: float = 1.0      # superstrate static permittivity
-    damping_delta: float = 0.0  # Drude damping rate, 1/s
+    damping_delta: float = 0.0  # Drude damping rate, 1/s; only 0 is modelled
 
     def __post_init__(self) -> None:
         if self.omega_p3d <= 0.0:
@@ -58,8 +58,11 @@ class IsotropicSlab:
             raise ValueError(f"eps_b must be >= 1, got {self.eps_b}")
         if self.eps_sub <= 0.0 or self.eps_sup <= 0.0:
             raise ValueError("environment permittivities must be > 0")
-        if self.damping_delta < 0.0:
-            raise ValueError(f"damping_delta must be >= 0, got {self.damping_delta}")
+        if self.damping_delta != 0.0:
+            raise ValueError(
+                f"damping_delta must be 0, got {self.damping_delta}: "
+                "no evaluator models damping"
+            )
         if self.eps_sub + self.eps_sup >= self.eps_b:
             raise ValueError(
                 "confined-film regime requires eps_sub + eps_sup < eps_b, got "

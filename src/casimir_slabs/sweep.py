@@ -153,6 +153,7 @@ class Quantity:
     evaluate: Callable[[dict, object, QuadratureSpec], dict]
     columns: tuple[str, ...] = FORCE_COLUMNS
     array: bool = False  # a nanotube-array quantity rather than a film one
+    integrates: bool = True  # reads the quadrature spec
 
     @property
     def params(self) -> tuple[str, ...]:
@@ -279,10 +280,11 @@ _ARRAY = ("l", "radius", "eps_b", "omega_p")
 _ARRAY_OPTIONAL = ("d", "layers", "delta", *_SURROUNDINGS)
 
 QUANTITIES = {
-    "casimir": Quantity(("l",), (), None, _casimir),
+    "casimir": Quantity(("l",), (), None, _casimir, integrates=False),
     "lifshitz_local": Quantity(
         ("l", "omega_p"), (), None,
         lambda p, slab, spec: _force_row(lifshitz_force_local(p["omega_p"], p["l"])),
+        integrates=False,
     ),
     "iso_nonlocal": Quantity(
         _FILM, _SURROUNDINGS, _iso_slab,
@@ -291,6 +293,7 @@ QUANTITIES = {
     "iso_thin": Quantity(
         _FILM, _SURROUNDINGS, _iso_slab,
         lambda p, slab, spec: _force_row(thin_limit_ratio(slab, p["l"])),
+        integrates=False,
     ),
     "aniso_parallel": Quantity(
         _ARRAY, _ARRAY_OPTIONAL, array_slab,
@@ -314,6 +317,7 @@ QUANTITIES = {
     "validity": Quantity(
         _FILM, (*_SURROUNDINGS, "threshold"), _iso_slab, _validity,
         ("max_rel_deviation_s", "max_rel_deviation_p", "d_ok", "l_ok", "verdict"),
+        integrates=False,
     ),
 }
 
@@ -551,11 +555,9 @@ def preset_fig4(
     l_grid = [float(v) for v in np.geomspace(500.0, 5000.0, l_points)]
 
     def rows():
-        main_terms: dict[float, list] = {}
         for panel in panels:
             eps_b, mode = _FIG4_PANELS[panel]
-            if eps_b not in main_terms:
-                main_terms[eps_b] = list(_main_terms({"eps_b": eps_b}, None, spec).values())
+            main_terms = list(_main_terms({"eps_b": eps_b}, None, spec).values())
             if mode == "radius":
                 configs = [(float(r), 5) for r in np.linspace(0.5, 4.0, d_points)]
             else:
@@ -570,7 +572,7 @@ def preset_fig4(
                     forces = orientation_forces(slab, l, spec)
                     for res in (forces.f_parallel, forces.f_perp):
                         row += [res.ratio_to_casimir, res.error_estimate, res.validity]
-                    yield row + main_terms[eps_b]
+                    yield row + main_terms
 
     settings = {
         "preset": "fig4",

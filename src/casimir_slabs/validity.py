@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .constants import C_NM_PER_S
-from .response import IsotropicSlab, drude_eps_imaginary_axis
+from .lifshitz import casimir_pressure
+from .response import IsotropicSlab, local_drude_fn
 
 __all__ = [
     "halfspace_reflection_coeffs",
@@ -110,13 +111,10 @@ def applicability_report(
     2 d omega_p/c > 1 (film thick enough to suppress backscattering) and
     c/(2 l omega_p) < 1 (separation in the long-range regime).
     """
-    if l <= 0.0:
-        raise ValueError(f"separation must be > 0, got {l} nm")
+    casimir_pressure(l)  # the separation check
     if threshold <= 0.0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
-
-    def eps_fn(xi: float) -> float:
-        return drude_eps_imaginary_axis(xi, slab.omega_p3d, slab.eps_b, 0.0)
+    eps_fn = local_drude_fn(slab.omega_p3d, slab.eps_b)
 
     max_s = 0.0
     max_p = 0.0

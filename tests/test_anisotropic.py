@@ -64,6 +64,25 @@ class TestBackgroundFactors:
 
 
 class TestMainTerms:
+    def test_computed_once_per_background(self, fast_spec, monkeypatch):
+        from casimir_slabs import anisotropic
+
+        integrate, calls = anisotropic.integrate_xp, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(anisotropic, "integrate_xp", counting)
+        anisotropic._main_parallel_integral.cache_clear()
+        slab = array(20.0, eps_b=12.5)
+        f_parallel_ratio(slab, 1000.0, fast_spec)
+        assert len(calls) == 2  # main term and correction
+        cached = f_parallel_ratio(slab, 2000.0, fast_spec)
+        assert len(calls) == 3  # the correction only
+        anisotropic._main_parallel_integral.cache_clear()
+        assert f_parallel_ratio(slab, 2000.0, fast_spec) == cached
+
     def test_metal_dielectric_identity(self, fast_spec):
         # the crossed main term must equal the general force between a
         # perfect conductor and a constant dielectric, an entirely

@@ -1,10 +1,18 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from casimir_slabs import sweep
-from casimir_slabs.cli import main, run_point
+from casimir_slabs import cli, sweep
+from casimir_slabs.cli import (
+    COMMANDS,
+    FLAGS,
+    QUADRATURE_FLAGS,
+    _build_parser,
+    main,
+    run_point,
+)
 from casimir_slabs.quadrature import QuadratureError, QuadratureSpec
 from casimir_slabs.sweep import evaluate_quantity, format_value
 
@@ -113,6 +121,8 @@ class TestPointCommands:
         "validity --d-nm 20 --l-nm 1000 --threshold 0",
         "casimir --l-nm 1000 --rel-tol 0",
         "casimir --l-nm 1000 --config {tmp}/empty-transform.conf",
+        "main-terms --rel-tol 0",
+        "main-terms --config {tmp}/empty-transform.conf",
         "preset fig2 --points 0 --out {tmp}/x.csv",
         "preset fig4 --d-points 0 --out {tmp}/x.csv",
         "preset fig4 --l-points 0 --out {tmp}/x.csv",
@@ -126,6 +136,91 @@ def test_explicit_zero_is_not_replaced_by_default(capsys, tmp_path, argv):
     assert code == 2
     assert "RESULT" not in out
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_flag_table_matches_quantities():
+    # A point subcommand takes exactly the parameters its quantity reads,
+    # and the quadrature flags only where that quantity integrates.
+    parser = _build_parser()
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    without_quadrature = set()
+    for command, (_, quantities, extra) in COMMANDS.items():
+        dests = {a.dest for a in subparsers[command]._actions} - {"help", "config"}
+        quadrature = dests & set(QUADRATURE_FLAGS)
+        for quantity in quantities:
+            record = sweep.QUANTITIES[quantity]
+            keys = {FLAGS[dest].key for dest in dests - quadrature - set(extra)}
+            assert keys == set(record.params), command
+            expected = set(QUADRATURE_FLAGS) if record.integrates else set()
+            assert quadrature == expected, command
+        if not quadrature:
+            without_quadrature.add(command)
+    assert without_quadrature == {"casimir", "lifshitz-local", "iso-thin", "validity"}
+    for command in ("sweep", "preset"):
+        dests = {a.dest for a in subparsers[command]._actions}
+        assert set(QUADRATURE_FLAGS) <= dests
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # fixed flags a sweep does not read: unread, swept, or quadrature
+        "sweep --quantity casimir --axis l:100:1000:2 --d-nm 5 --out {tmp}/x.csv",
+        "sweep --quantity iso_nonlocal --axis l:500:2000:3 --l-nm 1000 --d-nm 20 "
+        "--out {tmp}/x.csv",
+        "sweep --quantity aniso_parallel --axis R:1:2:2 --d-nm 20 --l-nm 1000 "
+        "--radius-nm 2 --out {tmp}/x.csv",
+        "sweep --quantity lifshitz_local --axis l:100:1000:2 --rel-tol 1e-6 "
+        "--out {tmp}/x.csv",
+        "sweep --quantity iso_thin --axis l:100:1000:2 --d-nm 10 "
+        "--p-transform shifted-square --out {tmp}/x.csv",
+        # preset sizes the preset does not read
+        "preset fig2 --points 2 --d-points 3 --out {tmp}/x.csv",
+        "preset fig3 --points 2 --panels a --out {tmp}/x.csv",
+        "preset fig4 --points 2 --d-points 2 --l-points 2 --out {tmp}/x.csv",
+        # flags a point command does not have
+        "casimir --l-nm 1000 --rel-tol 1e-3",
+        "validity --d-nm 20 --l-nm 1000 --abs-tol 1e-9",
+        "crossover --l-nm 1000 --d-min-nm 40 --d-max-nm 50 --curve-points 5",
+        # values no evaluator can use
+        "casimir --l-nm nan",
+        "casimir --l-nm inf",
+        "casimir --l-nm 1e-80",
+        "iso-thin --d-nm nan --l-nm 1000",
+        "sweep --quantity iso_thin --axis d:nan:10:2 --l-nm 1000 --out {tmp}/x.csv",
+    ],
+)
+def test_unread_or_unusable_input_is_usage_error(capsys, tmp_path, argv):
+    code, out, _ = run(capsys, *argv.format(tmp=tmp_path).split())
+    assert code == 2
+    assert "RESULT" not in out
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv,config,flag",
+    [
+        ("aniso --layers 5 --l-nm 1000", "orientation = sideways", "--orientation"),
+        ("sweep --quantity casimir --axis l:1:2:2", "format = xml", "--format"),
+        ("casimir", "l-nm = nan", "--l-nm"),
+        ("lifshitz-local", "l-nm = 1000\nradius-nm = 3", "--radius-nm"),
+        ("sweep --quantity casimir --axis l:100:1000:2", "d-nm = 5", "--d-nm"),
+        ("sweep --quantity lifshitz_local --axis l:1:2:2", "rel-tol = 1e-6", "--rel-tol"),
+        ("preset fig2 --points 2", "panels = ab", "--panels"),
+    ],
+)
+def test_config_values_are_checked_as_flags(capsys, tmp_path, argv, config, flag):
+    conf = tmp_path / "run.conf"
+    conf.write_text(config + "\n")
+    out_path = tmp_path / "x.csv"
+    extra = ["--out", str(out_path)] if argv.startswith(("sweep", "preset")) else []
+    code, out, err = run(capsys, *argv.split(), *extra, "--config", str(conf))
+    assert code == 2
+    assert flag in err
+    assert "RESULT" not in out
+    assert not out_path.exists()
 
 
 class TestConfigFile:
@@ -144,6 +239,22 @@ class TestConfigFile:
         )
         assert code == 0
         assert result_records(out)[0]["params"]["l"] == 2000.0
+
+    def test_config_axis_lines_add_axes(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("quantity = casimir\naxis = l:100:1000:2\n")
+        out = tmp_path / "a.csv"
+        code, _, _ = run(capsys, "sweep", "--out", str(out), "--config", str(config))
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 3  # header and 2 rows
+        # the file's axes come before the command line's own
+        config.write_text("axis = d:10:20:2\n")
+        code, _, _ = run(
+            capsys, "sweep", "--quantity", "iso_thin", "--axis", "l:200:300:2",
+            "--out", str(out), "--config", str(config),
+        )
+        assert code == 0
+        assert out.read_text().startswith("d_nm,l_nm,")
 
     def test_malformed_config(self, capsys, tmp_path):
         config = tmp_path / "bad.conf"
@@ -339,6 +450,18 @@ class TestCrossoverCommand:
         assert float(first[3]) < 0.0 < float(last[3])
         assert_golden(curve)
         assert (tmp_path / "curve.csv.manifest.json").exists()
+
+    def test_unwritable_curve_fails_before_search(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "evaluate_quantity", lambda *a: calls.append(a))
+        code, out, err = run(
+            capsys, "crossover", "--l-nm", "1000",
+            "--d-min-nm", "40", "--d-max-nm", "50",
+            "--curve-out", "/nonexistent-dir/c.csv", *FAST,
+        )
+        assert code == 4
+        assert "RESULT" not in out
+        assert calls == []
 
 
 class TestPresets:

@@ -37,10 +37,37 @@ class TestCasimirPressure:
     def test_hundred_nm(self):
         assert casimir_pressure(100.0) == pytest.approx(13.00, rel=1e-3)
 
-    @pytest.mark.parametrize("l", [0.0, -5.0])
+    @pytest.mark.parametrize("l", [0.0, -5.0, math.nan, math.inf, 1e-80])
     def test_domain(self, l):
         with pytest.raises(ValueError):
             casimir_pressure(l)
+
+    @pytest.mark.parametrize("l", [0.0, math.nan, -math.inf, 1e-80, 1e100])
+    def test_every_evaluator_checks_separation_first(self, l, monkeypatch):
+        # The check runs before any quadrature: an integral would raise.
+        from casimir_slabs import anisotropic, lifshitz, validity
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran before the separation check")
+
+        for module in (lifshitz, anisotropic):
+            monkeypatch.setattr(module, "integrate_xp", no_quadrature)
+        metal = local_drude_fn(OMEGA_P, 1.0)
+        tubes = anisotropic.NanotubeArraySlab(
+            omega_p3d=OMEGA_P, radius_R=2.0, thickness_d=20.0, eps_b=10.0
+        )
+        evaluators = [
+            lambda: lifshitz_pressure_general(metal, metal, l),
+            lambda: lifshitz_force_local(OMEGA_P, l),
+            lambda: nonlocal_isotropic_ratio(film(10.0), l),
+            lambda: thin_limit_ratio(film(10.0), l),
+            lambda: anisotropic.f_parallel_ratio(tubes, l),
+            lambda: anisotropic.f_perp_ratio(tubes, l),
+            lambda: validity.applicability_report(film(10.0), l),
+        ]
+        for evaluate in evaluators:
+            with pytest.raises(ValueError, match="separation must be > 0"):
+                evaluate()
 
 
 class TestGeneralForce:

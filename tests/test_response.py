@@ -35,6 +35,8 @@ class TestSlabValidation:
             # surroundings screening as much as the film breaks the confined regime
             {"omega_p3d": OMEGA_P, "thickness_d": 10.0, "eps_b": 2.0},
             {"omega_p3d": OMEGA_P, "thickness_d": 10.0, "eps_b": 9.0, "eps_sub": 5.0, "eps_sup": 5.0},
+            # no evaluator models damping, so a damping rate would be ignored
+            {"omega_p3d": OMEGA_P, "thickness_d": 10.0, "eps_b": 9.0, "damping_delta": 1e13},
         ],
     )
     def test_isotropic_invalid(self, kwargs):
