@@ -20,12 +20,10 @@ from .quadrature import (  # noqa: E402
 )
 from .special import bessel_i0k0_product, bose_integral  # noqa: E402
 from .response import (  # noqa: E402
-    ImaginaryFrequencyPoint,
     IsotropicSlab,
     NanotubeArraySlab,
     drude_eps_imaginary_axis,
     eps_tilde,
-    frequency_point,
     local_drude_fn,
     momentum_from_xp,
     plasma_freq_isotropic,
@@ -72,10 +70,8 @@ __all__ = [
     "bose_integral",
     "IsotropicSlab",
     "NanotubeArraySlab",
-    "ImaginaryFrequencyPoint",
     "eps_tilde",
     "momentum_from_xp",
-    "frequency_point",
     "plasma_freq_isotropic",
     "plasma_freq_nanotube",
     "drude_eps_imaginary_axis",

@@ -230,21 +230,24 @@ class CrossoverResult:
     iterations: int
 
 
+CROSSOVER_TOL = 1.0e-4  # bound on |F_par - F_perp|/F_C at the returned thickness
+CROSSOVER_MAX_ITER = 80  # bisections before the search gives up
+
+
 def crossover_thickness(
     array_template: NanotubeArraySlab,
     l: float,
     d_range: tuple[float, float],
     spec: QuadratureSpec | None = None,
-    ratio_tol: float = 1.0e-4,
-    max_iterations: int = 80,
 ) -> CrossoverResult:
     """Bisect slab thickness for the sign change of F_par - F_perp.
 
     ``array_template`` supplies everything but the thickness, which is
     replaced per probe (so the d >= 2R invariant is enforced on every
-    evaluation).  Converges when |F_par - F_perp|/F_C drops below
-    ``ratio_tol``.  A probe whose quadrature fails raises
-    QuadratureError.
+    evaluation).  Converges when |F_par - F_perp|/F_C drops to
+    CROSSOVER_TOL (1e-4); if it has not after CROSSOVER_MAX_ITER (80)
+    bisections, ``crossover_d`` is None.  A probe whose quadrature fails
+    raises QuadratureError.
     """
     d_lo, d_hi = d_range
     if not d_lo < d_hi:
@@ -265,13 +268,13 @@ def crossover_thickness(
         return CrossoverResult(None, (d_lo, d_hi), sign_lo, sign_hi, 0)
 
     lo, hi, a_cur = d_lo, d_hi, a_lo
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, CROSSOVER_MAX_ITER + 1):
         mid = 0.5 * (lo + hi)
         a_mid = aniso(mid)
-        if abs(a_mid) <= ratio_tol:
+        if abs(a_mid) <= CROSSOVER_TOL:
             return CrossoverResult(mid, (d_lo, d_hi), sign_lo, sign_hi, iteration)
         if math.copysign(1.0, a_mid) == math.copysign(1.0, a_cur):
             lo, a_cur = mid, a_mid
         else:
             hi = mid
-    return CrossoverResult(None, (d_lo, d_hi), sign_lo, sign_hi, max_iterations)
+    return CrossoverResult(None, (d_lo, d_hi), sign_lo, sign_hi, CROSSOVER_MAX_ITER)

@@ -22,6 +22,7 @@ from . import __version__
 from .anisotropic import orientation_forces
 from .quadrature import QuadratureError, QuadratureSpec
 from .sweep import (
+    PRESETS,
     QUANTITIES,
     SweepAxis,
     SweepRequest,
@@ -29,9 +30,7 @@ from .sweep import (
     array_slab,
     evaluate_quantity,
     format_value,
-    preset_fig2,
-    preset_fig3,
-    preset_fig4,
+    run_preset,
     run_sweep,
     write_outputs,
 )
@@ -61,6 +60,11 @@ def _sweep_axis(text: str) -> SweepAxis:
         return SweepAxis(name, *bounds, int(points), *spacing)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad axis {text!r}: {exc}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs) -> None:  # no prefix matching: "--l" is no flag
+        super().__init__(allow_abbrev=False, **kwargs)
 
 
 class Flag(NamedTuple):
@@ -106,6 +110,8 @@ FLAGS = {
 }
 _PARAM_DEST = {flag.key: dest for dest, flag in FLAGS.items() if flag.key}
 QUADRATURE_FLAGS = ("rel_tol", "abs_tol", "p_transform")
+# The presets' size flags; --points also fills a preset's unset *_points sizes.
+PRESET_SIZES = tuple(dict.fromkeys(size for p in PRESETS.values() for size in p.sizes))
 
 # Point subcommands: help, the quantities they evaluate, their other flags.
 COMMANDS = {
@@ -142,20 +148,20 @@ def _add_flags(parser: argparse.ArgumentParser, dests: Sequence[str]) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="casimir-slabs",
         description="Casimir-Lifshitz attraction between ultrathin material slabs",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = parser.add_subparsers(dest="command", required=True).add_parser
 
     for command, (text, quantities, extra) in COMMANDS.items():
         record = QUANTITIES[quantities[0]]
         params = [_PARAM_DEST[key] for key in record.params]
         quadrature = QUADRATURE_FLAGS if record.integrates else ()
-        _add_flags(sub.add_parser(command, help=text), [*params, *extra, *quadrature])
+        _add_flags(add_parser(command, help=text), [*params, *extra, *quadrature])
 
-    sweep = sub.add_parser("sweep", help="parameter grid to CSV/JSON")
+    sweep = add_parser("sweep", help="parameter grid to CSV/JSON")
     sweep.add_argument("--quantity", required=True, choices=QUANTITIES)
     sweep.add_argument(
         "--axis",
@@ -166,10 +172,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_flags(sweep, [*_PARAM_DEST.values(), "out", "format", *QUADRATURE_FLAGS])
 
-    preset = sub.add_parser("preset", help="standard figure data sets")
-    preset.add_argument("name", choices=("fig2", "fig3", "fig4"))
-    sizes = ("points", "d_points", "l_points", "panels")
-    _add_flags(preset, [*sizes, "out", *QUADRATURE_FLAGS])
+    preset = add_parser("preset", help="standard figure data sets")
+    preset.add_argument("name", choices=PRESETS)
+    _add_flags(preset, [*PRESET_SIZES, "out", *QUADRATURE_FLAGS])
     return parser
 
 
@@ -191,9 +196,7 @@ def _load_config(path: str) -> list[str]:
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse argv with the --config lines put right after the subcommand,
     argv[0], so that a flag given on the command line comes later and wins."""
-    pre = argparse.ArgumentParser(
-        prog="casimir-slabs", usage=argparse.SUPPRESS, add_help=False
-    )
+    pre = _Parser(prog="casimir-slabs", usage=argparse.SUPPRESS, add_help=False)
     pre.add_argument("--config")
     config = pre.parse_known_args(argv)[0].config
     if config:
@@ -296,23 +299,15 @@ def _run_sweep_cmd(args: argparse.Namespace) -> int:
 
 
 def _run_preset(args: argparse.Namespace) -> int:
-    if args.name == "fig4":
-        if args.d_points and args.l_points:
-            _reject_given(args, ("points",), "--d-points and --l-points set both")
-        sizes = {  # counts are >= 1, so `or` only replaces an absent one
-            "d_points": args.d_points or args.points,
-            "l_points": args.l_points or args.points,
-            "panels": args.panels,
-        }
-    else:
-        _reject_given(args, ("d_points", "l_points", "panels"), "read by fig4 only")
-        sizes = {"points": args.points}
-    preset = {"fig2": preset_fig2, "fig3": preset_fig3, "fig4": preset_fig4}[args.name]
-    summary = preset(
-        args.out,
-        spec=_resolve(args, None)[1],
-        **{k: v for k, v in sizes.items() if v is not None},
-    )
+    sizes = {size: getattr(args, size) for size in PRESETS[args.name].sizes}
+    unread = [size for size in PRESET_SIZES if size not in sizes and size != "points"]
+    _reject_given(args, unread, f"not read by {args.name}")
+    counts = [size for size in sizes if size.endswith("_points")]
+    if counts and None not in (sizes[size] for size in counts):
+        both = " and ".join("--" + size.replace("_", "-") for size in counts)
+        _reject_given(args, ("points",), f"{both} set both")
+    sizes.update((size, args.points) for size in counts if sizes[size] is None)
+    summary = run_preset(args.name, args.out, _resolve(args, None)[1], **sizes)
     print(f"wrote {summary['rows']} rows to {summary['output']}")
     return 0
 

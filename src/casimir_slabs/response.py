@@ -3,7 +3,7 @@
 Holds the slab descriptors and the confinement-induced nonlocal plasma
 frequencies: the in-plane isotropic film model and the aligned-nanotube
 array model, together with the local Drude permittivity evaluated at
-omega = i*xi and the (x, p) -> (xi, k) mapping used inside the force
+omega = i*xi and the (x, p) -> k mapping used inside the force
 integrands.
 
 Lengths are nm, angular frequencies s^-1.  All functions are pure.
@@ -15,16 +15,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .constants import C_NM_PER_S
 from .special import bessel_i0k0_product
 
 __all__ = [
     "IsotropicSlab",
     "NanotubeArraySlab",
-    "ImaginaryFrequencyPoint",
     "eps_tilde",
     "momentum_from_xp",
-    "frequency_point",
     "plasma_freq_isotropic",
     "plasma_freq_nanotube",
     "drude_eps_imaginary_axis",
@@ -50,14 +47,15 @@ class IsotropicSlab:
     damping_delta: float = 0.0  # Drude damping rate, 1/s; only 0 is modelled
 
     def __post_init__(self) -> None:
-        if self.omega_p3d <= 0.0:
-            raise ValueError(f"omega_p3d must be > 0, got {self.omega_p3d}")
-        if self.thickness_d <= 0.0:
-            raise ValueError(f"thickness_d must be > 0, got {self.thickness_d}")
-        if self.eps_b < 1.0:
-            raise ValueError(f"eps_b must be >= 1, got {self.eps_b}")
-        if self.eps_sub <= 0.0 or self.eps_sup <= 0.0:
-            raise ValueError("environment permittivities must be > 0")
+        # Written so that NaN fails every check.
+        if not 0.0 < self.omega_p3d < math.inf:
+            raise ValueError(f"omega_p3d must be in (0, inf), got {self.omega_p3d}")
+        if not 0.0 < self.thickness_d < math.inf:
+            raise ValueError(f"thickness_d must be in (0, inf), got {self.thickness_d}")
+        if not 1.0 <= self.eps_b < math.inf:
+            raise ValueError(f"eps_b must be in [1, inf), got {self.eps_b}")
+        if not (0.0 < self.eps_sub < math.inf and 0.0 < self.eps_sup < math.inf):
+            raise ValueError("environment permittivities must be in (0, inf)")
         if self.damping_delta != 0.0:
             raise ValueError(
                 f"damping_delta must be 0, got {self.damping_delta}: "
@@ -86,43 +84,30 @@ class NanotubeArraySlab:
     eps_sup: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.omega_p3d <= 0.0:
-            raise ValueError(f"omega_p3d must be > 0, got {self.omega_p3d}")
-        if self.radius_R <= 0.0:
-            raise ValueError(f"radius_R must be > 0, got {self.radius_R}")
+        # Written so that NaN fails every check.
+        if not 0.0 < self.omega_p3d < math.inf:
+            raise ValueError(f"omega_p3d must be in (0, inf), got {self.omega_p3d}")
+        if not 0.0 < self.radius_R < math.inf:
+            raise ValueError(f"radius_R must be in (0, inf), got {self.radius_R}")
         if self.period_Delta is None:
             object.__setattr__(self, "period_Delta", 2.0 * self.radius_R)
-        if self.period_Delta < 2.0 * self.radius_R:
+        if not 2.0 * self.radius_R <= self.period_Delta < math.inf:
             raise ValueError(
-                f"period_Delta = {self.period_Delta} nm would overlap tubes of "
-                f"radius {self.radius_R} nm"
+                f"period_Delta = {self.period_Delta} nm is not a finite period "
+                f"clear of tubes of radius {self.radius_R} nm"
             )
-        if self.thickness_d < 2.0 * self.radius_R:
+        if not 2.0 * self.radius_R <= self.thickness_d < math.inf:
             raise ValueError(
-                f"thickness_d = {self.thickness_d} nm is below one monolayer "
-                f"(2R = {2.0 * self.radius_R} nm)"
+                f"thickness_d = {self.thickness_d} nm is not finite or is below "
+                f"one monolayer (2R = {2.0 * self.radius_R} nm)"
             )
-        if self.eps_b < 1.0:
-            raise ValueError(f"eps_b must be >= 1, got {self.eps_b}")
-        if self.eps_sub <= 0.0 or self.eps_sup <= 0.0:
-            raise ValueError("environment permittivities must be > 0")
+        if not 1.0 <= self.eps_b < math.inf:
+            raise ValueError(f"eps_b must be in [1, inf), got {self.eps_b}")
+        if not (0.0 < self.eps_sub < math.inf and 0.0 < self.eps_sup < math.inf):
+            raise ValueError("environment permittivities must be in (0, inf)")
 
 
 Slab = Union[IsotropicSlab, NanotubeArraySlab]
-
-
-@dataclass(frozen=True)
-class ImaginaryFrequencyPoint:
-    """One point (xi, k) on the imaginary frequency / in-plane momentum plane."""
-
-    xi: float          # imaginary-axis angular frequency, 1/s
-    momentum_k: float  # in-plane momentum, 1/nm
-
-    def __post_init__(self) -> None:
-        if self.xi < 0.0:
-            raise ValueError(f"xi must be >= 0, got {self.xi}")
-        if self.momentum_k < 0.0:
-            raise ValueError(f"momentum_k must be >= 0, got {self.momentum_k}")
 
 
 def eps_tilde(slab: Slab) -> float:
@@ -137,14 +122,6 @@ def momentum_from_xp(x: float, p: float, l: float) -> float:
     wave-vector relation reads omega p / c = sqrt((omega/c)^2 - k^2).
     """
     return x * math.sqrt(max(p * p - 1.0, 0.0)) / (2.0 * p * l)
-
-
-def frequency_point(x: float, p: float, l: float) -> ImaginaryFrequencyPoint:
-    """Map dimensionless integration variables (x, p) at separation l (nm)."""
-    return ImaginaryFrequencyPoint(
-        xi=x * C_NM_PER_S / (2.0 * p * l),
-        momentum_k=momentum_from_xp(x, p, l),
-    )
 
 
 def plasma_freq_isotropic(k: float, slab: Slab) -> float:

@@ -11,10 +11,10 @@ sibling ``<name>.manifest.json`` recording the fixed parameters, the
 tool version and the quadrature settings, so a run can be reproduced
 byte for byte.  Both files are written under temporary names in the
 target directory and renamed into place only when complete, so a failed
-run leaves earlier outputs untouched.  The three ``fig*`` presets
-generate the data behind the standard plots: main terms vs 1/eps_b, the
-isotropic force vs separation for three thicknesses, and the
-orientation-resolved nanotube surfaces.
+run leaves earlier outputs untouched.  The ``PRESETS`` records describe
+the data behind the standard plots (main terms vs 1/eps_b, the isotropic
+force vs separation for three thicknesses, the orientation-resolved
+nanotube surfaces) as fixed grids over the same quantities.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .anisotropic import (
     f_perp_ratio,
     main_term_parallel,
     main_term_perp,
-    orientation_forces,
 )
 from .lifshitz import (
     ForceResult,
@@ -57,9 +56,9 @@ __all__ = [
     "evaluate_quantity",
     "run_sweep",
     "write_outputs",
-    "preset_fig2",
-    "preset_fig3",
-    "preset_fig4",
+    "Preset",
+    "PRESETS",
+    "run_preset",
 ]
 
 
@@ -76,6 +75,8 @@ AXIS_COLUMNS = {
 }
 
 FORCE_COLUMNS = ("ratio_to_casimir", "pressure_pa", "error_estimate", "validity")
+MAIN_TERMS = ("main_parallel", "main_perp")
+_ORIENTED = ("ratio_to_casimir", "error_estimate", "validity")  # fig4, per orientation
 _SURROUNDINGS = ("eps_sub", "eps_sup")
 
 
@@ -306,8 +307,7 @@ QUANTITIES = {
         array=True,
     ),
     "main_terms": Quantity(
-        ("eps_b",), (), _check_background, _main_terms,
-        ("main_parallel", "main_perp"), array=True,
+        ("eps_b",), (), _check_background, _main_terms, MAIN_TERMS, array=True,
     ),
     "crossover": Quantity(
         ("l", "d_min", "d_max", "radius", "eps_b", "omega_p"),
@@ -426,6 +426,30 @@ def write_outputs(
     }
 
 
+def _check_and_write(
+    request: SweepRequest,
+    spec: QuadratureSpec,
+    columns: Sequence[str],
+    cells: Sequence[tuple[str, Sequence[str]]],
+    leading: Sequence[Sequence],
+    param_sets: Sequence[dict],
+) -> dict:
+    """``_prepare`` every point, then compute and write each row: its leading
+    values, then the named outputs of each quantity in ``cells``."""
+    for params in param_sets:
+        for quantity, _ in cells:
+            _prepare(quantity, params)
+
+    def rows():
+        for row, params in zip(leading, param_sets):
+            for quantity, names in cells:
+                outputs = evaluate_quantity(quantity, params, spec)
+                row = list(row) + [outputs[c] for c in names]
+            yield row
+
+    return write_outputs(request, spec, columns, rows())
+
+
 def run_sweep(request: SweepRequest, spec: QuadratureSpec | None = None) -> dict:
     """Execute a sweep: validate the whole grid, then compute and write.
 
@@ -436,156 +460,107 @@ def run_sweep(request: SweepRequest, spec: QuadratureSpec | None = None) -> dict
     spec = spec or QuadratureSpec()
     record = QUANTITIES[request.quantity]
     combos = list(itertools.product(*(ax.grid() for ax in request.axes)))
-
-    # Validate every grid point (slab invariants, required parameters)
-    # before any quadrature or file output.
     swept = [ax.param for ax in request.axes]
     param_sets = []
     for combo in combos:
         params = dict(request.fixed_params)
         params.update(zip(swept, combo))
-        _prepare(request.quantity, params)
         param_sets.append(params)
-
-    def rows():
-        for combo, params in zip(combos, param_sets):
-            outputs = evaluate_quantity(request.quantity, params, spec)
-            yield list(combo) + [outputs[c] for c in record.columns]
-
     columns = [AXIS_COLUMNS[ax.name] for ax in request.axes] + list(record.columns)
-    return write_outputs(request, spec, columns, rows())
+    cells = [(request.quantity, record.columns)]
+    return _check_and_write(request, spec, columns, cells, combos, param_sets)
 
 
-# ---------------------------------------------------------------------------
-# Presets reproducing the standard figure data sets.  Their grids are not
-# sweep axes, so each generates its own rows; the manifest records the
-# preset's settings as its fixed parameters.
+@dataclass(frozen=True)
+class Preset:
+    """A standard figure data set: a fixed grid over table quantities.
 
-
-def preset_fig2(
-    output_path: str | Path,
-    points: int = 50,
-    spec: QuadratureSpec | None = None,
-) -> dict:
-    """Main expansion terms against 1/eps_b.
-
-    The grid spans 1/eps_b in [1e-3, 0.99]; the endpoint eps_b = 1 is a
-    pole of the background factors and is excluded.  Both columns tend
-    to 1 as 1/eps_b -> 0.
+    ``points(settings)`` yields each row's leading values and evaluator
+    parameters.  The manifest records the settings (sizes and constants)
+    as its fixed parameters and names the quantity of the first cell.
     """
-    spec = spec or QuadratureSpec()
 
-    def rows():
-        for inv in np.geomspace(1.0e-3, 0.99, points):
-            eps_b = 1.0 / float(inv)
-            yield [float(inv), eps_b, *_main_terms({"eps_b": eps_b}, None, spec).values()]
-
-    request = SweepRequest(
-        "main_terms", {"preset": "fig2", "points": points}, (), output_path
-    )
-    return write_outputs(
-        request, spec, ["inv_eps_b", "eps_b", "main_parallel", "main_perp"], rows()
-    )
+    sizes: dict  # size parameter -> default
+    constants: dict
+    columns: tuple[str, ...]
+    points: Callable[[dict], Iterable[tuple[list, dict]]]
+    cells: tuple[tuple[str, tuple[str, ...]], ...]  # (quantity, its outputs)
 
 
-def preset_fig3(
-    output_path: str | Path,
-    points: int = 25,
-    spec: QuadratureSpec | None = None,
-) -> dict:
-    """Isotropic nonlocal force vs separation for 10/20/200 nm slabs,
-    with the local-metal force as a reference column."""
-    spec = spec or QuadratureSpec()
-    omega_p, eps_b = 2.0e16, 9.0
-    l_grid = [float(v) for v in np.geomspace(100.0, 5000.0, points)]
-
-    def rows():
-        for d in (10.0, 20.0, 200.0):
-            slab = IsotropicSlab(omega_p3d=omega_p, thickness_d=d, eps_b=eps_b)
-            for l in l_grid:
-                res = nonlocal_isotropic_ratio(slab, l, spec)
-                local = lifshitz_force_local(omega_p, l)
-                yield [d, l, *_force_row(res).values(), local.ratio_to_casimir]
-
-    settings = {
-        "preset": "fig3",
-        "omega_p": omega_p,
-        "eps_b": eps_b,
-        "d_values": [10.0, 20.0, 200.0],
-        "points": points,
-    }
-    return write_outputs(
-        SweepRequest("iso_nonlocal", settings, (), output_path),
-        spec,
-        ["d_nm", "l_nm", *FORCE_COLUMNS, "ratio_lifshitz_local"],
-        rows(),
-    )
+def _fig2_points(settings: dict):
+    # 1/eps_b in [1e-3, 0.99]: eps_b = 1 is a pole of the background factors
+    for inv in map(float, np.geomspace(1.0e-3, 0.99, settings["points"])):
+        yield [inv, 1.0 / inv], {"eps_b": 1.0 / inv}
 
 
-_FIG4_PANELS = {
-    # panel: (eps_b, mode); mode "radius" = 5 monolayers of growing tubes,
-    # mode "layers" = growing stack of 2 nm tubes.
-    "a": (10.0, "radius"),
-    "b": (10.0, "layers"),
-    "c": (5.0, "radius"),
-    "d": (5.0, "layers"),
+def _fig3_points(settings: dict):
+    omega_p, eps_b = settings["omega_p"], settings["eps_b"]
+    l_grid = map(float, np.geomspace(100.0, 5000.0, settings["points"]))
+    for d, l in itertools.product(settings["d_values"], l_grid):
+        yield [d, l], {"l": l, "d": d, "eps_b": eps_b, "omega_p": omega_p}
+
+
+def _fig4_points(settings: dict):
+    n, panels, omega_p = settings["d_points"], settings["panels"], settings["omega_p"]
+    # 5 monolayers of growing tubes, or a growing stack of 2 nm tubes
+    by_radius = [(float(r), 5) for r in np.linspace(0.5, 4.0, n)]
+    by_layers = [(2.0, layers) for layers in range(1, n + 1)]
+    modes = {"a": (10.0, by_radius), "b": (10.0, by_layers),
+             "c": (5.0, by_radius), "d": (5.0, by_layers)}
+    if not panels or set(panels) - set(modes):
+        raise UsageError(f"fig4 panels must be some of abcd, got {panels!r}")
+    l_grid = [float(v) for v in np.geomspace(500.0, 5000.0, settings["l_points"])]
+    for panel in panels:
+        eps_b, configs = modes[panel]
+        for (radius, layers), l in itertools.product(configs, l_grid):
+            d = layers * 2.0 * radius
+            yield [panel, eps_b, radius, layers, d, l], {
+                "l": l, "d": d, "radius": radius, "eps_b": eps_b, "omega_p": omega_p
+            }
+
+
+PRESETS = {
+    # main expansion terms against 1/eps_b; both tend to 1 as 1/eps_b -> 0
+    "fig2": Preset(
+        {"points": 50}, {}, ("inv_eps_b", "eps_b", *MAIN_TERMS),
+        _fig2_points, (("main_terms", MAIN_TERMS),),
+    ),
+    # isotropic nonlocal force vs separation for 10/20/200 nm slabs, with
+    # the local-metal force as a reference column
+    "fig3": Preset(
+        {"points": 25},
+        {"omega_p": 2.0e16, "eps_b": 9.0, "d_values": [10.0, 20.0, 200.0]},
+        ("d_nm", "l_nm", *FORCE_COLUMNS, "ratio_lifshitz_local"), _fig3_points,
+        (("iso_nonlocal", FORCE_COLUMNS), ("lifshitz_local", ("ratio_to_casimir",))),
+    ),
+    # orientation-resolved forces of dense (period 2R), free-standing arrays:
+    # 5 monolayers of tubes with R = 0.5..4 nm (radius panels), or
+    # 1..d_points monolayers of 2 nm tubes (layer panels)
+    "fig4": Preset(
+        {"d_points": 5, "l_points": 6, "panels": "abcd"},
+        {"omega_p": 2.0e16},
+        ("panel", "eps_b", "radius_nm", "layers", "d_nm", "l_nm",
+         "ratio_parallel", "error_parallel", "validity_parallel",
+         "ratio_perp", "error_perp", "validity_perp", *MAIN_TERMS),
+        _fig4_points,
+        (("aniso_parallel", _ORIENTED), ("aniso_perp", _ORIENTED),
+         ("main_terms", MAIN_TERMS)),
+    ),
 }
 
 
-def preset_fig4(
-    output_path: str | Path,
-    d_points: int = 5,
-    l_points: int = 6,
-    panels: str = "abcd",
-    spec: QuadratureSpec | None = None,
+def run_preset(
+    name: str, output_path: str | Path, spec: QuadratureSpec | None = None, **sizes
 ) -> dict:
-    """Orientation-resolved nanotube-array force surfaces.
-
-    Radius panels: 5-monolayer slabs of tubes with radius 0.5..4 nm.
-    Layer panels: 1..d_points monolayers of 2 nm tubes.  Densely packed
-    arrays (period = 2R), free-standing, omega_p = 2e16 1/s.
-    """
-    spec = spec or QuadratureSpec()
-    if not panels:
-        raise UsageError("fig4 needs at least one panel")
-    for panel in panels:
-        if panel not in _FIG4_PANELS:
-            raise UsageError(f"unknown fig4 panel {panel!r}")
-    omega_p = 2.0e16
-    l_grid = [float(v) for v in np.geomspace(500.0, 5000.0, l_points)]
-
-    def rows():
-        for panel in panels:
-            eps_b, mode = _FIG4_PANELS[panel]
-            main_terms = list(_main_terms({"eps_b": eps_b}, None, spec).values())
-            if mode == "radius":
-                configs = [(float(r), 5) for r in np.linspace(0.5, 4.0, d_points)]
-            else:
-                configs = [(2.0, n) for n in range(1, d_points + 1)]
-            for radius, layers in configs:
-                d = layers * 2.0 * radius
-                slab = NanotubeArraySlab(
-                    omega_p3d=omega_p, radius_R=radius, thickness_d=d, eps_b=eps_b
-                )
-                for l in l_grid:
-                    row = [panel, eps_b, radius, layers, d, l]
-                    forces = orientation_forces(slab, l, spec)
-                    for res in (forces.f_parallel, forces.f_perp):
-                        row += [res.ratio_to_casimir, res.error_estimate, res.validity]
-                    yield row + main_terms
-
-    settings = {
-        "preset": "fig4",
-        "panels": panels,
-        "omega_p": omega_p,
-        "d_points": d_points,
-        "l_points": l_points,
-    }
-    return write_outputs(
-        SweepRequest("aniso_parallel", settings, (), output_path),
-        spec,
-        ["panel", "eps_b", "radius_nm", "layers", "d_nm", "l_nm"]
-        + [f"{c}_{o}" for o in ("parallel", "perp") for c in ("ratio", "error", "validity")]
-        + ["main_parallel", "main_perp"],
-        rows(),
-    )
+    """Validate, compute and write preset ``name``; a size given as None
+    keeps its default."""
+    preset = PRESETS[name]
+    if not sizes.keys() <= preset.sizes.keys():
+        raise UsageError(f"{name} takes only the sizes {tuple(preset.sizes)}")
+    settings = {"preset": name, **preset.sizes, **preset.constants}
+    settings.update((k, v) for k, v in sizes.items() if v is not None)
+    request = SweepRequest(preset.cells[0][0], settings, (), output_path)
+    points = list(preset.points(settings))
+    leading, param_sets = [p for p, _ in points], [p for _, p in points]
+    return _check_and_write(request, spec or QuadratureSpec(), preset.columns,
+                            preset.cells, leading, param_sets)

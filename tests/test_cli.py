@@ -180,6 +180,11 @@ def test_flag_table_matches_quantities():
         "preset fig2 --points 2 --d-points 3 --out {tmp}/x.csv",
         "preset fig3 --points 2 --panels a --out {tmp}/x.csv",
         "preset fig4 --points 2 --d-points 2 --l-points 2 --out {tmp}/x.csv",
+        # fig4 panels: none, or one that does not exist
+        "preset fig4 --panels= --points 1 --out {tmp}/x.csv",
+        "preset fig4 --panels x --points 1 --out {tmp}/x.csv",
+        # an abbreviated flag is not the flag it abbreviates
+        "casimir --l 1000",
         # flags a point command does not have
         "casimir --l-nm 1000 --rel-tol 1e-3",
         "validity --d-nm 20 --l-nm 1000 --abs-tol 1e-9",
@@ -209,6 +214,7 @@ def test_unread_or_unusable_input_is_usage_error(capsys, tmp_path, argv):
         ("sweep --quantity casimir --axis l:100:1000:2", "d-nm = 5", "--d-nm"),
         ("sweep --quantity lifshitz_local --axis l:1:2:2", "rel-tol = 1e-6", "--rel-tol"),
         ("preset fig2 --points 2", "panels = ab", "--panels"),
+        ("casimir", "l = 1000", "--l"),
     ],
 )
 def test_config_values_are_checked_as_flags(capsys, tmp_path, argv, config, flag):
@@ -519,5 +525,32 @@ class TestPresets:
             assert float(cells[idx["ratio_perp"]]) < float(cells[idx["main_perp"]])
         assert_golden(*with_manifest(out))
 
+    def test_fig4_radius_panels(self, capsys, tmp_path):
+        # radius mode, eps_b = 5, and --points standing in for both sizes
+        out = tmp_path / "fig4_radius.csv"
+        code, _, _ = run(
+            capsys, "preset", "fig4", "--points", "2", "--panels", "ca",
+            "--out", str(out), *FAST,
+        )
+        assert code == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["c"] * 4 + ["a"] * 4
+        assert_golden(*with_manifest(out))
+
     def test_preset_requires_out(self, capsys):
         assert run(capsys, "preset", "fig2")[0] == 2
+
+    def test_preset_flags_come_from_records(self):
+        parser = _build_parser()
+        preset = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices["preset"]
+        actions = {a.dest: a for a in preset._actions}
+        assert set(actions["name"].choices) == set(sweep.PRESETS)
+        sizes = {size for record in sweep.PRESETS.values() for size in record.sizes}
+        assert sizes == set(actions) - {"help", "name", "out", "config", *QUADRATURE_FLAGS}
+
+    def test_run_preset_rejects_unknown_size(self, tmp_path):
+        with pytest.raises(sweep.UsageError):
+            sweep.run_preset("fig2", tmp_path / "x.csv", points=2, panels="b")
+        assert list(tmp_path.iterdir()) == []
