@@ -20,6 +20,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
+from scipy.optimize import brentq
+
 from .constants import C_NM_PER_S, PI4
 from .lifshitz import RATIO_NORM, ForceResult, _flag, _force_result, casimir_pressure
 from .quadrature import IntegralResult, QuadratureError, QuadratureSpec, integrate_xp
@@ -217,21 +219,22 @@ def orientation_forces(
 
 @dataclass(frozen=True)
 class CrossoverResult:
-    """Outcome of the thickness bisection for the orientation crossover.
+    """Outcome of the thickness search for the orientation crossover.
 
     ``crossover_d`` is None when the anisotropy keeps one sign over the
-    bracket; the endpoint signs are always reported.
+    bracket or the search fails; the endpoint signs are always reported.
+    ``d_error`` (nm) bounds the distance from ``crossover_d`` to the root.
     """
 
     crossover_d: float | None
     bracket: tuple[float, float]
     sign_low: float
     sign_high: float
-    iterations: int
+    iterations: int  # probes after the two bracket ends
+    d_error: float | None = None
 
 
-CROSSOVER_TOL = 1.0e-4  # bound on |F_par - F_perp|/F_C at the returned thickness
-CROSSOVER_MAX_ITER = 80  # bisections before the search gives up
+CROSSOVER_XTOL_NM = 1.0e-3  # bracket width at which the search stops, nm
 
 
 def crossover_thickness(
@@ -240,41 +243,42 @@ def crossover_thickness(
     d_range: tuple[float, float],
     spec: QuadratureSpec | None = None,
 ) -> CrossoverResult:
-    """Bisect slab thickness for the sign change of F_par - F_perp.
+    """Brent search (scipy.optimize.brentq) for the thickness at which
+    F_par - F_perp changes sign, to a bracket of CROSSOVER_XTOL_NM (1e-3 nm).
 
     ``array_template`` supplies everything but the thickness, which is
     replaced per probe (so the d >= 2R invariant is enforced on every
-    evaluation).  Converges when |F_par - F_perp|/F_C drops to
-    CROSSOVER_TOL (1e-4); if it has not after CROSSOVER_MAX_ITER (80)
-    bisections, ``crossover_d`` is None.  A probe whose quadrature fails
-    raises QuadratureError.
+    evaluation).  Each thickness is probed once.  If brentq does not
+    converge, ``crossover_d`` is None; a failed probe raises QuadratureError.
     """
     d_lo, d_hi = d_range
     if not d_lo < d_hi:
         raise ValueError(f"need d_lo < d_hi, got ({d_lo}, {d_hi})")
+    probes: dict[float, OrientationForces] = {}
 
     def aniso(d: float) -> float:
-        forces = orientation_forces(replace(array_template, thickness_d=d), l, spec)
-        for res in (forces.f_parallel, forces.f_perp):
-            if res.validity == "quadrature_failed":
-                raise QuadratureError(f"force quadrature failed at d = {d} nm")
-        return forces.anisotropy
+        if d not in probes:
+            forces = orientation_forces(replace(array_template, thickness_d=d), l, spec)
+            for res in (forces.f_parallel, forces.f_perp):
+                if res.validity == "quadrature_failed":
+                    raise QuadratureError(f"force quadrature failed at d = {d} nm")
+            probes[d] = forces
+        return probes[d].anisotropy
 
-    a_lo = aniso(d_lo)
-    a_hi = aniso(d_hi)
-    sign_lo = math.copysign(1.0, a_lo)
-    sign_hi = math.copysign(1.0, a_hi)
-    if sign_lo * sign_hi > 0.0:
-        return CrossoverResult(None, (d_lo, d_hi), sign_lo, sign_hi, 0)
-
-    lo, hi, a_cur = d_lo, d_hi, a_lo
-    for iteration in range(1, CROSSOVER_MAX_ITER + 1):
-        mid = 0.5 * (lo + hi)
-        a_mid = aniso(mid)
-        if abs(a_mid) <= CROSSOVER_TOL:
-            return CrossoverResult(mid, (d_lo, d_hi), sign_lo, sign_hi, iteration)
-        if math.copysign(1.0, a_mid) == math.copysign(1.0, a_cur):
-            lo, a_cur = mid, a_mid
-        else:
-            hi = mid
-    return CrossoverResult(None, (d_lo, d_hi), sign_lo, sign_hi, CROSSOVER_MAX_ITER)
+    sign_lo = math.copysign(1.0, aniso(d_lo))
+    sign_hi = math.copysign(1.0, aniso(d_hi))
+    root = d_error = None
+    if sign_lo != sign_hi:
+        d, info = brentq(
+            aniso, d_lo, d_hi, xtol=CROSSOVER_XTOL_NM, full_output=True, disp=False
+        )
+        if info.converged:
+            # The root lies between d and the nearest probe of the other
+            # sign; the error estimate at d over the secant slope widens that.
+            flipped = [e for e in probes if aniso(e) * aniso(d) <= 0.0 and e != d]
+            other = min(flipped, key=lambda e: abs(e - d))
+            err = probes[d].f_parallel.error_estimate + probes[d].f_perp.error_estimate
+            d_error = abs(other - d) * (1.0 + err / abs(aniso(other) - aniso(d)))
+            root = d
+    iterations = len(probes) - 2  # brentq's info.iterations is not a probe count
+    return CrossoverResult(root, (d_lo, d_hi), sign_lo, sign_hi, iterations, d_error)

@@ -283,13 +283,8 @@ def _run_sweep_cmd(args: argparse.Namespace) -> int:
     if not record.integrates:
         _reject_given(args, QUADRATURE_FLAGS, f"{args.quantity} does not integrate")
     params, spec = _resolve(args, record.eps_b_default)
-    request = SweepRequest(
-        quantity=args.quantity,
-        fixed_params={k: v for k, v in params.items() if k not in swept},
-        axes=axes,
-        output_path=args.out,
-        format=args.format,
-    )
+    fixed = {k: params[k] for k in record.params if k not in swept}
+    request = SweepRequest(args.quantity, fixed, axes, args.out, args.format)
     summary = run_sweep(request, spec)
     print(
         f"wrote {summary['rows']} rows to {summary['output']} "

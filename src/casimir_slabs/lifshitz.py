@@ -215,8 +215,9 @@ def thin_limit_ratio(slab: IsotropicSlab, l: float) -> ForceResult:
     """
     f_c = casimir_pressure(l)
     coeff, coeff_err = _thin_limit_parts(QuadratureSpec())
-    scale = C_NM_PER_S / (
-        slab.omega_p3d * math.sqrt(eps_tilde(slab) * slab.thickness_d * l)
-    )
+    denominator = slab.omega_p3d * math.sqrt(eps_tilde(slab) * slab.thickness_d * l)
+    if denominator == 0.0:
+        raise ValueError("omega_p3d sqrt(eps~ d l) underflows to 0")
+    scale = C_NM_PER_S / denominator
     corr = coeff * scale
     return _force_result(1.0 - corr, f_c, coeff_err * scale, _flag(True, corr))

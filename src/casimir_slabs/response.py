@@ -44,7 +44,6 @@ class IsotropicSlab:
     eps_b: float              # in-plane background permittivity
     eps_sub: float = 1.0      # substrate static permittivity (free-standing = 1)
     eps_sup: float = 1.0      # superstrate static permittivity
-    damping_delta: float = 0.0  # Drude damping rate, 1/s; only 0 is modelled
 
     def __post_init__(self) -> None:
         # Written so that NaN fails every check.
@@ -56,11 +55,6 @@ class IsotropicSlab:
             raise ValueError(f"eps_b must be in [1, inf), got {self.eps_b}")
         if not (0.0 < self.eps_sub < math.inf and 0.0 < self.eps_sup < math.inf):
             raise ValueError("environment permittivities must be in (0, inf)")
-        if self.damping_delta != 0.0:
-            raise ValueError(
-                f"damping_delta must be 0, got {self.damping_delta}: "
-                "no evaluator models damping"
-            )
         if self.eps_sub + self.eps_sup >= self.eps_b:
             raise ValueError(
                 "confined-film regime requires eps_sub + eps_sup < eps_b, got "

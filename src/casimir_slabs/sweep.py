@@ -128,12 +128,9 @@ class SweepRequest:
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        record = _record(self.quantity)
+        _record(self.quantity)
         if len(self.axes) > 2:
             raise UsageError("at most two sweep axes are supported")
-        for ax in self.axes:
-            if ax.param not in record.params:
-                raise UsageError(f"{self.quantity} does not read the {ax.name} axis")
         if self.format not in ("csv", "json"):
             raise UsageError(f"format must be csv or json, got {self.format!r}")
 
@@ -254,6 +251,7 @@ def _crossover(params: dict, template, spec: QuadratureSpec) -> dict:
     )
     return {
         "crossover_d_nm": result.crossover_d,
+        "crossover_d_error_nm": result.d_error,
         "bracket_low_nm": result.bracket[0],
         "bracket_high_nm": result.bracket[1],
         "sign_low": result.sign_low,
@@ -312,7 +310,8 @@ QUANTITIES = {
     "crossover": Quantity(
         ("l", "d_min", "d_max", "radius", "eps_b", "omega_p"),
         ("delta", *_SURROUNDINGS), _crossover_template, _crossover,
-        ("crossover_d_nm", "sign_low", "sign_high", "iterations"), array=True,
+        ("crossover_d_nm", "crossover_d_error_nm", "sign_low", "sign_high",
+         "iterations"), array=True,
     ),
     "validity": Quantity(
         _FILM, (*_SURROUNDINGS, "threshold"), _iso_slab, _validity,
@@ -453,19 +452,23 @@ def _check_and_write(
 def run_sweep(request: SweepRequest, spec: QuadratureSpec | None = None) -> dict:
     """Execute a sweep: validate the whole grid, then compute and write.
 
-    Returns a small summary dict (rows written, output paths).  Grid
-    points are emitted in axis-major order: the first axis varies
-    slowest.  Reruns of the same request produce byte-identical files.
+    A parameter the quantity does not read or that is set twice (by two
+    axes, or by an axis and a fixed value) is a UsageError.  Grid points
+    are emitted in axis-major order, the first axis slowest, and reruns
+    are byte-identical.  Returns a summary dict (rows, output paths).
     """
     spec = spec or QuadratureSpec()
     record = QUANTITIES[request.quantity]
-    combos = list(itertools.product(*(ax.grid() for ax in request.axes)))
     swept = [ax.param for ax in request.axes]
-    param_sets = []
-    for combo in combos:
-        params = dict(request.fixed_params)
-        params.update(zip(swept, combo))
-        param_sets.append(params)
+    fixed = request.fixed_params
+    keys = [k for k, v in fixed.items() if v is not None] + swept
+    for i, key in enumerate(keys):
+        if key not in record.params:
+            raise UsageError(f"{key}: not read by {request.quantity}")
+        if key in keys[:i]:
+            raise UsageError(f"{key}: set by a sweep axis and another input")
+    combos = list(itertools.product(*(ax.grid() for ax in request.axes)))
+    param_sets = [{**fixed, **dict(zip(swept, combo))} for combo in combos]
     columns = [AXIS_COLUMNS[ax.name] for ax in request.axes] + list(record.columns)
     cells = [(request.quantity, record.columns)]
     return _check_and_write(request, spec, columns, cells, combos, param_sets)

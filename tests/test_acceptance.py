@@ -174,7 +174,7 @@ def test_07_crossover_existence(crossover_eps10):
     elif not 4.0 < res.crossover_d < 100.0:
         failures.append(f"crossover {res.crossover_d} nm outside the bracket")
     report(7, "crossover-existence", failures,
-           f"crossover_d={res.crossover_d} nm after {res.iterations} bisections")
+           f"crossover_d={res.crossover_d} nm after {res.iterations + 2} probes")
 
 
 def test_08_crossover_shift(crossover_eps10, crossover_eps5):

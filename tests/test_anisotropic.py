@@ -170,21 +170,39 @@ class TestOrientationForces:
         assert res.validity == "quadrature_failed"
 
 
-class TestCrossover:
-    def test_bracketed_root_found(self, fast_spec):
+@pytest.fixture(scope="module")
+def counted_crossover(fast_spec):
+    """The eps_b = 10, l = 1000 nm search on [4, 100] nm, with the
+    thickness of every orientation_forces call it made."""
+    from casimir_slabs import anisotropic
+
+    forces, probed = anisotropic.orientation_forces, []
+
+    def counting(array, l, spec=None):
+        probed.append(array.thickness_d)
+        return forces(array, l, spec)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(anisotropic, "orientation_forces", counting)
         res = crossover_thickness(array(100.0), 1000.0, (4.0, 100.0), fast_spec)
+    return res, probed
+
+
+class TestCrossover:
+    def test_bracketed_root_found(self, counted_crossover, fast_spec):
+        res, _ = counted_crossover
         assert res.sign_low < 0.0 < res.sign_high
         assert res.crossover_d is not None
         assert 4.0 < res.crossover_d < 100.0
         assert res.iterations >= 1
-        # solver tolerance honoured at the returned thickness
+        # the anisotropy is small at the returned thickness
         forces = orientation_forces(
             replace(array(100.0), thickness_d=res.crossover_d), 1000.0, fast_spec
         )
         assert abs(forces.anisotropy) <= 1e-4
 
-    def test_sign_structure_around_root(self, fast_spec):
-        res = crossover_thickness(array(100.0), 1000.0, (4.0, 100.0), fast_spec)
+    def test_sign_structure_around_root(self, counted_crossover, fast_spec):
+        res, _ = counted_crossover
         below = orientation_forces(
             replace(array(100.0), thickness_d=res.crossover_d - 3.0), 1000.0, fast_spec
         )
@@ -193,11 +211,34 @@ class TestCrossover:
         )
         assert below.anisotropy < 0.0 < above.anisotropy
 
+    def test_thickness_error_is_stated(self, counted_crossover):
+        res, _ = counted_crossover
+        assert 0.0 < res.d_error <= 1e-2
+
+    def test_root_lies_within_thickness_error(self, counted_crossover, fast_spec):
+        # the bound holds for the anisotropy computed at tighter tolerances
+        res, _ = counted_crossover
+        d, tight = res.crossover_d, fast_spec.tightened()
+        below = orientation_forces(
+            replace(array(100.0), thickness_d=d - res.d_error), 1000.0, tight
+        )
+        above = orientation_forces(
+            replace(array(100.0), thickness_d=d + res.d_error), 1000.0, tight
+        )
+        assert below.anisotropy < 0.0 < above.anisotropy
+
+    def test_iterations_count_probes_after_bracket_ends(self, counted_crossover):
+        res, probed = counted_crossover
+        assert res.iterations == len(probed) - 2
+        assert len(set(probed)) == len(probed)  # no thickness probed twice
+        assert probed[:2] == [4.0, 100.0]
+
     def test_no_bracket_returns_none_with_signs(self, fast_spec):
         res = crossover_thickness(array(100.0), 1000.0, (50.0, 70.0), fast_spec)
         assert res.crossover_d is None
         assert res.sign_low > 0.0 and res.sign_high > 0.0
         assert res.iterations == 0
+        assert res.d_error is None
 
     def test_inverted_range_rejected(self, fast_spec):
         with pytest.raises(ValueError):

@@ -327,6 +327,24 @@ class TestSweep:
         assert len(payload["rows"]) == 3
         assert_golden(*with_manifest(out))
 
+    @pytest.mark.parametrize(
+        "fixed, axes, why",
+        [
+            ({"radius": 2.0}, 1, "radius: not read by iso_nonlocal"),
+            ({"l": 100.0}, 1, "l: set by a sweep axis"),
+            ({}, 2, "l: set by a sweep axis"),  # the same axis twice
+        ],
+    )
+    def test_library_parameter_unread_or_set_twice(self, tmp_path, fixed, axes, why):
+        request = sweep.SweepRequest(
+            "iso_nonlocal", {"d": 20.0, "eps_b": 9.0, "omega_p": 2e16, **fixed},
+            (sweep.SweepAxis("l", 500.0, 2000.0, 3, "log"),) * axes,
+            str(tmp_path / "x.csv"),
+        )
+        with pytest.raises(sweep.UsageError, match=why):
+            sweep.run_sweep(request)
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_path_fails_before_compute(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--quantity", "casimir",

@@ -20,7 +20,6 @@ class TestSlabValidation:
     def test_isotropic_ok(self):
         slab = IsotropicSlab(omega_p3d=OMEGA_P, thickness_d=10.0, eps_b=9.0)
         assert slab.eps_sub == slab.eps_sup == 1.0
-        assert slab.damping_delta == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -28,12 +27,9 @@ class TestSlabValidation:
             {"omega_p3d": 0.0, "thickness_d": 10.0, "eps_b": 9.0},
             {"omega_p3d": OMEGA_P, "thickness_d": -1.0, "eps_b": 9.0},
             {"omega_p3d": OMEGA_P, "thickness_d": 10.0, "eps_b": 0.5},
-            {"omega_p3d": OMEGA_P, "thickness_d": 10.0, "eps_b": 9.0, "damping_delta": -1.0},
             # surroundings screening as much as the film breaks the confined regime
             {"omega_p3d": OMEGA_P, "thickness_d": 10.0, "eps_b": 2.0},
             {"omega_p3d": OMEGA_P, "thickness_d": 10.0, "eps_b": 9.0, "eps_sub": 5.0, "eps_sup": 5.0},
-            # no evaluator models damping, so a damping rate would be ignored
-            {"omega_p3d": OMEGA_P, "thickness_d": 10.0, "eps_b": 9.0, "damping_delta": 1e13},
             # NaN or infinite fields would give a NaN ratio flagged valid
             {"omega_p3d": math.nan, "thickness_d": 10.0, "eps_b": 9.0},
             {"omega_p3d": math.inf, "thickness_d": 10.0, "eps_b": 9.0},
