@@ -15,7 +15,6 @@ from .quadrature import (  # noqa: E402
     QuadratureError,
     QuadratureSpec,
     integrate_p_axis,
-    integrate_x_axis,
     integrate_xp,
 )
 from .special import bessel_i0k0_product, bose_integral  # noqa: E402
@@ -63,7 +62,6 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureError",
     "IntegralResult",
-    "integrate_x_axis",
     "integrate_p_axis",
     "integrate_xp",
     "bessel_i0k0_product",

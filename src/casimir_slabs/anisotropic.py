@@ -20,10 +20,13 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .constants import C_NM_PER_S, PI4
-from .lifshitz import RATIO_NORM, ForceResult, _flag, _force_result, casimir_pressure
+from .lifshitz import (
+    RATIO_NORM, ForceResult, _flag, _force_result, _over, casimir_pressure,
+)
 from .quadrature import IntegralResult, QuadratureError, QuadratureSpec, integrate_xp
 from .response import NanotubeArraySlab, eps_tilde
 from .special import bessel_i0k0_product
@@ -42,9 +45,9 @@ __all__ = [
 ]
 
 
-def _check_background(p: float, eps_b: float) -> None:
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+def _check_background(p, eps_b: float) -> None:
+    if np.any(p < 1.0):
+        raise ValueError(f"p must be >= 1, got {np.min(p)}")
     if eps_b <= 1.0:
         raise ValueError(
             f"background factors require eps_b > 1, got {eps_b} "
@@ -52,25 +55,27 @@ def _check_background(p: float, eps_b: float) -> None:
         )
 
 
-def phi(p: float, eps_b: float) -> float:
-    """s-polarization background factor (S+p)/(S-p), S = sqrt(eps_b-1+p^2).
+def phi(p, eps_b: float):
+    """s-polarization background factor (S+p)/(S-p), S = sqrt(eps_b-1+p^2),
+    for a number or an array of p.
 
     Evaluated as (S+p)^2/(eps_b-1), exact and free of the large-p
     cancellation in S - p.  Always >= (sqrt(eps_b)+1)/(sqrt(eps_b)-1) > 1.
     """
     _check_background(p, eps_b)
-    s = math.sqrt(eps_b - 1.0 + p * p)
+    s = np.sqrt(eps_b - 1.0 + p * p)
     return (s + p) ** 2 / (eps_b - 1.0)
 
 
-def psi(p: float, eps_b: float) -> float:
-    """p-polarization background factor (S+eps_b p)/(S-eps_b p).
+def psi(p, eps_b: float):
+    """p-polarization background factor (S+eps_b p)/(S-eps_b p), for a
+    number or an array of p.
 
     The denominator is negative for all p >= 1, eps_b > 1, so psi <= -1;
     evaluated as (S+eps_b p)^2 / ((eps_b-1)(1 - p^2(eps_b+1)))."""
     _check_background(p, eps_b)
     pp = p * p
-    s = math.sqrt(eps_b - 1.0 + pp)
+    s = np.sqrt(eps_b - 1.0 + pp)
     return (s + eps_b * p) ** 2 / ((eps_b - 1.0) * (1.0 - pp * (eps_b + 1.0)))
 
 
@@ -79,8 +84,8 @@ def psi(p: float, eps_b: float) -> float:
 def _main_parallel_integral(
     eps_b: float, spec: QuadratureSpec | None
 ) -> IntegralResult:
-    def f(x: float, p: float) -> float:
-        emx = math.exp(-x)
+    def f(x, p, q):
+        emx = np.exp(-x)
         return x ** 3 / (p * p) * emx / (phi(p, eps_b) ** 2 - emx)
 
     return integrate_xp(f, spec)
@@ -88,8 +93,8 @@ def _main_parallel_integral(
 
 @lru_cache(maxsize=None)
 def _main_perp_integral(eps_b: float, spec: QuadratureSpec | None) -> IntegralResult:
-    def f(x: float, p: float) -> float:
-        emx = math.exp(-x)
+    def f(x, p, q):
+        emx = np.exp(-x)
         both = 1.0 / (phi(p, eps_b) - emx) - 1.0 / (psi(p, eps_b) + emx)
         return x ** 3 / (p * p) * emx * both
 
@@ -115,7 +120,7 @@ def main_term_perp(eps_b: float, spec: QuadratureSpec | None = None) -> float:
     return RATIO_NORM * _main_perp_integral(eps_b, spec).value
 
 
-def _radical_fn(array: NanotubeArraySlab, l: float) -> Callable[[float, float], float]:
+def _radical_fn(array: NanotubeArraySlab, l: float) -> Callable:
     """sqrt(Delta/(4 pi R) * a(1 + R a/(eps~ d)) / (I0 K0(1/a))) with
     a = (2l/R) p/(x sqrt(p^2-1)); the inverse of the tube-array plasma
     frequency expressed in the (x, p) variables."""
@@ -124,9 +129,9 @@ def _radical_fn(array: NanotubeArraySlab, l: float) -> Callable[[float, float], 
     pref = array.period_Delta / (4.0 * math.pi * r)
     two_l_over_r = 2.0 * l / r
 
-    def radical(x: float, p: float) -> float:
-        a = two_l_over_r * p / (x * math.sqrt(p * p - 1.0))
-        return math.sqrt(
+    def radical(x, p, q):
+        a = two_l_over_r * p / (x * q)
+        return np.sqrt(
             pref * a * (1.0 + r * a / et_d) / bessel_i0k0_product(1.0 / a)
         )
 
@@ -157,14 +162,14 @@ def f_parallel_ratio(
     f_c = casimir_pressure(l)
     radical = _radical_fn(array, l)
 
-    def fcorr(x: float, p: float) -> float:
+    def fcorr(x, p, q):
         pp = p * p
-        bose = x ** 4 * math.exp(-x) / math.expm1(-x) ** 2
-        return bose / (pp * pp) * radical(x, p)
+        bose = x ** 4 * np.exp(-x) / np.expm1(-x) ** 2
+        return bose / (pp * pp) * radical(x, p, q)
 
     main = _main_parallel_integral(array.eps_b, spec)
     corr = integrate_xp(fcorr, spec, p_singularity_order=0.5)
-    coef = 15.0 * C_NM_PER_S / (PI4 * array.omega_p3d * l)
+    coef = _over(15.0 * C_NM_PER_S, PI4 * array.omega_p3d * l)
     return _assemble(main, corr, 0.5, coef, f_c)
 
 
@@ -180,18 +185,18 @@ def f_perp_ratio(
     eps_b = array.eps_b
     radical = _radical_fn(array, l)
 
-    def fcorr(x: float, p: float) -> float:
-        emx = math.exp(-x)
+    def fcorr(x, p, q):
+        emx = np.exp(-x)
         ph = phi(p, eps_b)
         ps = psi(p, eps_b)
         # x^4 e^x [phi p/(phi e^x - 1)^2 - (psi/p)/(psi e^x + 1)^2] / p^3,
         # folded with e^(-2x) so nothing grows with x.
         bracket = ph * p / (ph - emx) ** 2 - (ps / p) / (ps + emx) ** 2
-        return x ** 4 * emx * bracket / p ** 3 * radical(x, p)
+        return x ** 4 * emx * bracket / p ** 3 * radical(x, p, q)
 
     main = _main_perp_integral(eps_b, spec)
     corr = integrate_xp(fcorr, spec, p_singularity_order=0.5)
-    coef = 15.0 * C_NM_PER_S / (2.0 * PI4 * array.omega_p3d * l)
+    coef = _over(15.0 * C_NM_PER_S, 2.0 * PI4 * array.omega_p3d * l)
     return _assemble(main, corr, 0.0, coef, f_c)
 
 

@@ -34,6 +34,7 @@ from .sweep import (
     run_sweep,
     write_outputs,
 )
+from .validity import DEFAULT_THRESHOLD
 
 
 def finite_float(text: str) -> float:
@@ -91,7 +92,9 @@ FLAGS = {
     "radius_nm": Flag(finite_float, "radius", 2.0, "nanotube radius, nm"),
     "delta_nm": Flag(finite_float, "delta", help="array period, nm (default 2R)"),
     "layers": Flag(int, "layers", help="number of monolayers (d = 2R layers)"),
-    "threshold": Flag(finite_float, "threshold", 0.01, "deviation threshold"),
+    "threshold": Flag(
+        finite_float, "threshold", DEFAULT_THRESHOLD, "deviation threshold"
+    ),
     "d_min_nm": Flag(finite_float, "d_min", help="lower thickness bracket, nm"),
     "d_max_nm": Flag(finite_float, "d_max", help="upper thickness bracket, nm"),
     "orientation": Flag(("parallel", "perp", "both"), default="both"),
@@ -243,7 +246,7 @@ def run_point(quantity: str, params: dict, spec: QuadratureSpec) -> int:
         "params": {k: v for k, v in sorted(params.items()) if v is not None},
         **outputs,
     }
-    print("RESULT " + json.dumps(record, sort_keys=True))
+    print("RESULT " + json.dumps(record, sort_keys=True, allow_nan=False))
     if any(v == "quadrature_failed" for v in outputs.values()):
         return 3
     return 1 if quantity == "crossover" and outputs["crossover_d_nm"] is None else 0

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Literal
 
+import numpy as np
+
 from .constants import C_NM_PER_S, HBAR_C_J_M, PI4
 from .quadrature import (
     QuadratureError,
@@ -64,7 +66,15 @@ class ForceResult:
 
 
 def _force_result(ratio: float, f_c: float, err: float, flag: Validity) -> ForceResult:
-    return ForceResult(ratio, ratio * f_c, err, flag)
+    pressure = ratio * f_c
+    if not (math.isfinite(pressure) and math.isfinite(err)):
+        raise ValueError("the material correction gives no finite pressure")
+    return ForceResult(ratio, pressure, err, flag)
+
+
+def _over(numerator: float, denominator: float) -> float:
+    """numerator / denominator, inf where the denominator underflows to 0."""
+    return numerator / denominator if denominator > 0.0 else math.inf
 
 
 def _flag(converged: bool, correction: float, leading: float = 1.0) -> Validity:
@@ -98,8 +108,9 @@ def lifshitz_pressure_general(
 ) -> ForceResult:
     """Full two-polarization force integral for arbitrary media.
 
-    The callbacks receive xi = x c/(2 p l) in s^-1 and must return real
-    permittivities >= 1 (any causal response on the imaginary axis).
+    The callbacks receive arrays of xi = x c/(2 p l) in s^-1 and must
+    return real permittivities >= 1 (any causal response on the
+    imaginary axis), as an array of that shape or one scalar.
     The s- and p-channel round-trip factors are evaluated through the
     differences A - 1 in exact rational form, which keeps the integrand
     stable both in the near-vacuum and in the near-conductor limits.
@@ -107,30 +118,26 @@ def lifshitz_pressure_general(
     f_c = casimir_pressure(l)
     half_cl = C_NM_PER_S / (2.0 * l)
 
-    def f(x: float, p: float) -> float:
+    def f(x, p, q):
         xi = half_cl * x / p
         e1 = eps1_fn(xi)
         e2 = eps2_fn(xi)
         pp = p * p
-        s1 = math.sqrt(e1 - 1.0 + pp)
-        s2 = math.sqrt(e2 - 1.0 + pp)
-        emx = math.exp(-x)
-        em1 = -math.expm1(-x)  # 1 - e^-x
+        s1 = np.sqrt(e1 - 1.0 + pp)
+        s2 = np.sqrt(e2 - 1.0 + pp)
+        emx = np.exp(-x)
+        em1 = -np.expm1(-x)  # 1 - e^-x
         # s channel: A_s - 1 = 2p(s1+s2) / ((s1-p)(s2-p)), with
         # s - p = (eps-1)/(s+p) to avoid the large-p cancellation.
         d1 = (e1 - 1.0) / (s1 + p)
         d2 = (e2 - 1.0) / (s2 + p)
-        den_s = d1 * d2
-        ts = emx / (2.0 * p * (s1 + s2) / den_s + em1) if den_s > 0.0 else 0.0
+        den_s = d1 * d2  # >= 0; zero (vacuum) gives a zero term
+        ts = emx * den_s / (2.0 * p * (s1 + s2) + em1 * den_s)
         # p channel: s - eps*p = (eps-1)(1 - p^2(eps+1))/(s + eps*p) < 0.
         g1 = (e1 - 1.0) * (1.0 - pp * (e1 + 1.0)) / (s1 + e1 * p)
         g2 = (e2 - 1.0) * (1.0 - pp * (e2 + 1.0)) / (s2 + e2 * p)
         den_p = g1 * g2
-        tp = (
-            emx / (2.0 * p * (e1 * s2 + e2 * s1) / den_p + em1)
-            if den_p > 0.0
-            else 0.0
-        )
+        tp = emx * den_p / (2.0 * p * (e1 * s2 + e2 * s1) + em1 * den_p)
         return x ** 3 / pp * (ts + tp)
 
     res = integrate_xp(f, spec)
@@ -150,7 +157,7 @@ def lifshitz_force_local(omega_p: float, l: float) -> ForceResult:
     if omega_p <= 0.0:
         raise ValueError(f"omega_p must be > 0, got {omega_p}")
     f_c = casimir_pressure(l)
-    corr = 16.0 * C_NM_PER_S / (3.0 * omega_p * l)
+    corr = _over(16.0 * C_NM_PER_S, 3.0 * omega_p * l)
     return _force_result(1.0 - corr, f_c, 0.0, _flag(True, corr))
 
 
@@ -167,14 +174,13 @@ def nonlocal_isotropic_ratio(
     f_c = casimir_pressure(l)
     beta = 2.0 * l / (eps_tilde(slab) * slab.thickness_d)
 
-    def f(x: float, p: float) -> float:
+    def f(x, p, q):
         pp = p * p
-        bose = x ** 4 * math.exp(-x) / math.expm1(-x) ** 2
-        rad = math.sqrt(1.0 + beta * p / (x * math.sqrt(pp - 1.0)))
-        return bose * (pp + 1.0) / (pp * pp) * rad
+        bose = x ** 4 * np.exp(-x) / np.expm1(-x) ** 2
+        return bose * (pp + 1.0) / (pp * pp) * np.sqrt(1.0 + beta * p / (x * q))
 
     res = integrate_xp(f, spec, p_singularity_order=0.25)
-    coef = 15.0 * C_NM_PER_S / (PI4 * slab.omega_p3d * l)
+    coef = _over(15.0 * C_NM_PER_S, PI4 * slab.omega_p3d * l)
     corr = coef * res.value
     return _force_result(
         1.0 - corr, f_c, coef * res.error_estimate, _flag(res.converged, corr)
@@ -190,9 +196,7 @@ def _thin_limit_parts(spec: QuadratureSpec) -> tuple[float, float]:
     quadrature so the whole stack stays self-validating.
     """
     pres = integrate_p_axis(
-        lambda p: (p * p + 1.0) / (p ** 3.5 * (p * p - 1.0) ** 0.25),
-        0.25,
-        spec,
+        lambda p, q: (p * p + 1.0) / (p ** 3.5 * np.sqrt(q)), 0.25, spec
     )
     if not pres.converged:
         raise QuadratureError("thin-limit p integral did not converge")
@@ -216,8 +220,6 @@ def thin_limit_ratio(slab: IsotropicSlab, l: float) -> ForceResult:
     f_c = casimir_pressure(l)
     coeff, coeff_err = _thin_limit_parts(QuadratureSpec())
     denominator = slab.omega_p3d * math.sqrt(eps_tilde(slab) * slab.thickness_d * l)
-    if denominator == 0.0:
-        raise ValueError("omega_p3d sqrt(eps~ d l) underflows to 0")
-    scale = C_NM_PER_S / denominator
+    scale = _over(C_NM_PER_S, denominator)
     corr = coeff * scale
     return _force_result(1.0 - corr, f_c, coeff_err * scale, _flag(True, corr))

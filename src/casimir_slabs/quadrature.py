@@ -1,66 +1,62 @@
-"""Adaptive quadrature for the two semi-infinite axes of the force integrals.
+"""Tensor-product tanh-sinh quadrature for the (x, p) force integrals.
 
-The x axis carries Bose-type weights decaying like e^-x; it is truncated
-at ``QuadratureSpec.x_max`` and the discarded tail enters the error
-estimate through an exponential-decay bound.  The p axis starts at an
-algebraic endpoint singularity at p = 1; a substitution (p = cosh u by
-default) converts any (p^2-1)^-s endpoint factor with s < 1 into an
-integrable one before QUADPACK is applied.
+One engine serves the p axis alone and the (x, p) double integral, with
+the tanh-sinh rule of Takahasi & Mori, Publ. RIMS 9 (1974) 721 on each
+axis: x on (0, x_max], p on a window of its substitution, p = cosh u
+(default) or p = 1 + t^2, which make any (p^2-1)^-s endpoint factor with
+s < 1 integrable.  Kernels get whole arrays, f(x[:, None], p[None, :],
+q[None, :]), with q = sqrt(p^2-1) computed exactly (sinh u, or
+t sqrt(2+t^2)), so they never form p*p - 1 near p = 1.
 
-All entry points are pure functions of their arguments; no state is
-shared between calls, so they may be used from multiple threads.
+Each level halves the step on both axes and evaluates only the new
+nodes.  The error estimate is |I_h - I_h/2| (Bailey, Jeyabalan & Li,
+Exp. Math. 14 (2005) 317) plus bounds on the x tail beyond x_max, the p
+tail beyond the window and below its first node, and a roundoff floor
+of a few eps sum |w f|.  A tolerance below that floor is reported as not
+converged, never clamped.  Kernels only ever see fresh arrays, never the
+cached node sets, so every entry point may be used from several threads.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Literal
 
-from scipy.integrate import quad
+import numpy as np
 
 __all__ = [
     "PTransform",
     "QuadratureError",
     "QuadratureSpec",
     "IntegralResult",
-    "integrate_x_axis",
     "integrate_p_axis",
     "integrate_xp",
 ]
 
 PTransform = Literal["hyperbolic", "shifted-square"]
 
-# Truncation of the transformed p axis.  With p = cosh u an integrand
-# decaying like p^-2 becomes ~ e^-u, so u = 40 leaves a relative tail
-# below 1e-17.  With p = 1 + t^2 the same integrand decays like t^-3
-# and t = 1e6 leaves an absolute tail near 1e-12 for O(1) integrands.
-_U_MAX = 40.0
-_T_MAX = 1.0e6
-# Breakpoints keep QUADPACK from missing the O(1)-scale structure when
-# the shifted-square interval spans six decades.
-_T_BREAKPOINTS = (1.0, 10.0, 100.0)
+# Truncation of the step variable tau: the first node lies within e^-52 of
+# the lower end (x = 0, p = 1), the last within e^-11 of the window end.
+_TAU_LO, _TAU_HI = 3.5, 2.0
+_X_STEP = 0.5  # level-0 step on the x axis
+# Window end and level-0 step of each p substitution: a p^-2 integrand
+# decays like e^-u in u = arccosh p, but like t^-3 in t = sqrt(p-1), whose
+# long window needs a finer step for its O(1) region.
+_P_RULES = {"hyperbolic": (40.0, 0.5), "shifted-square": (1.0e5, 0.125)}
+_MAX_LEVEL = 5  # the last level's x step is 1/64
+_ROUNDOFF = 8.0 * sys.float_info.epsilon
 
 
 class QuadratureError(RuntimeError):
     """A quadrature result that must be certified failed to converge."""
 
 
-# QUADPACK refuses epsrel below 50 machine epsilons; requests beyond the
-# floor are clamped and judged against the requested tolerance instead.
-_EPSREL_FLOOR = 1.2e-14
-
-
-def _default_x_max(abs_tol: float) -> float:
-    """Truncation point for e^-x decaying integrands: tail below abs_tol."""
-    if abs_tol <= 0.0:
-        return 40.0
-    return max(40.0, -math.log(abs_tol) + 10.0)
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances, truncations and transform choice for the axis integrals.
+    """Tolerances, x truncation and p substitution of the engine.
 
     ``x_max=None`` derives the x-axis truncation from ``abs_tol`` so the
     exponential tail stays below the requested absolute tolerance.
@@ -70,22 +66,18 @@ class QuadratureSpec:
     abs_tol: float = 1.0e-12
     x_max: float | None = None
     p_transform: PTransform = "hyperbolic"
-    max_subdivisions: int = 200
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0.0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
         if self.abs_tol < 0.0:
             raise ValueError(f"abs_tol must be >= 0, got {self.abs_tol}")
-        if self.x_max is None:
-            object.__setattr__(self, "x_max", _default_x_max(self.abs_tol))
+        if self.x_max is None:  # an e^-x tail below abs_tol, and never below 40
+            tail = -math.log(self.abs_tol) + 10.0 if self.abs_tol > 0.0 else 0.0
+            object.__setattr__(self, "x_max", max(40.0, tail))
         if self.x_max <= 0.0:
             raise ValueError(f"x_max must be > 0, got {self.x_max}")
-        if self.max_subdivisions < 1:
-            raise ValueError(
-                f"max_subdivisions must be >= 1, got {self.max_subdivisions}"
-            )
-        if self.p_transform not in ("hyperbolic", "shifted-square"):
+        if self.p_transform not in _P_RULES:
             raise ValueError(f"unknown p_transform {self.p_transform!r}")
 
     def tightened(self, factor: float = 10.0) -> "QuadratureSpec":
@@ -97,7 +89,8 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """One quadrature outcome: value, certified error, convergence flag."""
+    """One quadrature outcome: value, certified error, convergence flag
+    and the number of integrand nodes evaluated."""
 
     value: float
     error_estimate: float
@@ -105,128 +98,125 @@ class IntegralResult:
     evaluations: int
 
 
-def _finish(
-    out: tuple, tail: float, spec: QuadratureSpec, extra_evals: int = 1
-) -> IntegralResult:
-    value, abserr, info = out[0], out[1], out[2]
-    warned = len(out) > 3  # QUADPACK appended a warning message
-    err = abserr + tail
-    converged = (not warned) and err <= max(
-        spec.abs_tol, spec.rel_tol * abs(value)
-    )
-    return IntegralResult(value, err, converged, int(info["neval"]) + extra_evals)
+@lru_cache(maxsize=None)
+def _tanh_sinh(end: float, step: float, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y on (0, end] new at ``level`` and dy/dtau, in increasing tau.
 
-
-def integrate_x_axis(
-    f: Callable[[float], float], spec: QuadratureSpec | None = None
-) -> IntegralResult:
-    """Integrate f over (0, inf) for integrands decaying at least like e^-x.
-
-    QUADPACK runs on the open interval (0, x_max]; the tail beyond x_max
-    is bounded by 2|f(x_max)| (valid for e^-x decay with the moderate
-    polynomial prefactors of the force kernels) and added to the error
-    estimate.  Non-convergence within max_subdivisions is reported via
-    ``converged=False``, never raised.
+    y = end / (1 + e^-2s) with s = (pi/2) sinh(tau), so y and end - y
+    are both accurate near their ends.  Level 0 has step ``step``; each
+    later level adds the odd multiples of half the previous step.
     """
-    spec = spec or QuadratureSpec()
-    out = quad(
-        f,
-        0.0,
-        spec.x_max,
-        epsabs=spec.abs_tol,
-        epsrel=max(spec.rel_tol, _EPSREL_FLOOR),
-        limit=spec.max_subdivisions,
-        full_output=True,
-    )
-    tail = 2.0 * abs(f(spec.x_max))
-    return _finish(out, tail, spec)
+    h = step / 2 ** level
+    k = np.arange(-round(_TAU_LO / h), round(_TAU_HI / h) + 1)
+    tau = k[k % 2 == 1] * h if level else k * h
+    s = 0.5 * math.pi * np.sinh(tau)
+    y = end / (1.0 + np.exp(-2.0 * s))
+    dy = 0.25 * math.pi * end * np.cosh(tau) / np.cosh(s) ** 2
+    return y, dy
+
+
+@lru_cache(maxsize=None)
+def _p_nodes(transform: str, level: int) -> tuple[np.ndarray, ...]:
+    """(p, q, dp/dtau, y, dp/dy) of the p nodes new at ``level``, y being
+    u (p = cosh u) or t (p = 1 + t^2)."""
+    end, step = _P_RULES[transform]
+    y, dy = _tanh_sinh(end, step, level)
+    if transform == "hyperbolic":
+        p, q = np.cosh(y), np.sinh(y)
+        jac = q
+    else:
+        p, q = 1.0 + y * y, y * np.sqrt(2.0 + y * y)
+        jac = 2.0 * y
+    return p, q, jac * dy, y, jac
+
+
+def _p_end_weights(transform: str, order: float) -> tuple[float, float]:
+    """Multipliers turning |f| at the last and first p node into bounds on
+    the integral beyond the window, twice the tail of the slowest allowed
+    decay p^-2 (e^-u: g(u); t^-3: g(t) t/2), and below the first node,
+    where a (p^2-1)^-s endpoint leaves g ~ y^(1-2s): y g(y) / (2 - 2s)."""
+    _, _, _, y, jac = _p_nodes(transform, 0)
+    beyond = 2.0 * (1.0 if transform == "hyperbolic" else 0.5 * y[-1])
+    return beyond * jac[-1], y[0] * jac[0] / (2.0 - 2.0 * order)
+
+
+def _block(f: Callable, x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    with np.errstate(all="ignore"):  # a non-finite sum is reported, not warned
+        values = f(x[:, None], p[None, :], q[None, :])
+    return np.broadcast_to(values, (x.size, p.size))
+
+
+# integrate_p_axis alone: one x node of unit weight at level 0, then none
+_UNIT_X = ((np.zeros(1), np.ones(1)), (np.empty(0), np.empty(0)))
 
 
 def integrate_p_axis(
-    f: Callable[[float], float],
+    f: Callable,
     singularity_order: float = 0.0,
     spec: QuadratureSpec | None = None,
+    with_x: bool = False,
 ) -> IntegralResult:
-    """Integrate f over [1, inf) allowing a (p^2-1)^-s endpoint singularity.
+    """Integrate f(p, q) over p in [1, inf), q = sqrt(p^2-1), allowing a
+    (p^2-1)^-s endpoint singularity; with ``with_x``, integrate f(x, p, q)
+    over (0, x_max] x [1, inf) by the tensor product with the x rule.
 
-    ``singularity_order`` is the admissible s and must lie in [0, 1); both
-    transforms turn such endpoints into integrable ones.  f must decay at
-    least like p^-2 at infinity, which the truncation of the transformed
-    axis relies on.
+    ``singularity_order`` is the admissible s, in [0, 1); it sizes the
+    bound on the sliver below the first p node.  f must decay at least
+    like p^-2, and like e^-x with a polynomial prefactor, staying
+    bounded at x = 0.  Non-convergence within the level cap, or below
+    the roundoff floor, is reported via ``converged=False``, never raised.
     """
     if not 0.0 <= singularity_order < 1.0:
-        raise ValueError(
-            f"singularity_order must be in [0, 1), got {singularity_order}"
-        )
+        raise ValueError(f"singularity_order must lie in [0, 1): {singularity_order}")
     spec = spec or QuadratureSpec()
-
-    if spec.p_transform == "hyperbolic":
-
-        def g(u: float) -> float:
-            p = math.cosh(u)
-            if p <= 1.0:  # cosh rounded to 1: contribution below roundoff
-                return 0.0
-            return f(p) * math.sinh(u)
-
-        upper = _U_MAX
-        points = None
-        tail_factor = 2.0  # e^-u tail
-    else:
-
-        def g(t: float) -> float:
-            p = 1.0 + t * t
-            if p <= 1.0:
-                return 0.0
-            return f(p) * 2.0 * t
-
-        upper = _T_MAX
-        points = list(_T_BREAKPOINTS)
-        tail_factor = 0.5 * _T_MAX  # t^-3 tail: integral ~ g(T) T/2
-
-    if points is not None and spec.max_subdivisions <= len(points) + 1:
-        points = None
-    out = quad(
-        g,
-        0.0,
-        upper,
-        epsabs=spec.abs_tol,
-        epsrel=max(spec.rel_tol, _EPSREL_FLOOR),
-        limit=spec.max_subdivisions,
-        points=points,
-        full_output=True,
-    )
-    tail = tail_factor * abs(g(upper))
-    return _finish(out, tail, spec)
+    kernel = f if with_x else lambda x, p, q: f(p, q)
+    beyond, below = _p_end_weights(spec.p_transform, singularity_order)
+    p_step = _P_RULES[spec.p_transform][1]
+    # Level-0 nodes come first, so the window's last nodes keep their index.
+    last_p = _p_nodes(spec.p_transform, 0)[0].size - 1
+    last_x = _tanh_sinh(spec.x_max, _X_STEP, 0)[0].size - 1
+    x = dx = p = q = dp = np.empty(0)
+    grid = np.empty((0, 0))
+    previous, evaluations = None, 0
+    for level in range(_MAX_LEVEL + 1):
+        x_new, dx_new = (
+            _tanh_sinh(spec.x_max, _X_STEP, level) if with_x else _UNIT_X[level > 0]
+        )
+        p_new, q_new, dp_new = _p_nodes(spec.p_transform, level)[:3]
+        nx, npp = grid.shape
+        x, dx = np.concatenate((x, x_new)), np.concatenate((dx, dx_new))
+        p, q = np.concatenate((p, p_new)), np.concatenate((q, q_new))
+        dp = np.concatenate((dp, dp_new))
+        new = np.empty((x.size, p.size))
+        new[:nx, :npp] = grid
+        new[:, npp:] = _block(kernel, x, p[npp:], q[npp:])
+        if x.size > nx:
+            new[nx:, :npp] = _block(kernel, x[nx:], p[:npp], q[:npp])
+        evaluations += new.size - grid.size
+        grid = new
+        wx = dx * (_X_STEP / 2 ** level if with_x else 1.0)
+        wp = dp * (p_step / 2 ** level)
+        value = float(wx @ grid @ wp)
+        if not math.isfinite(value):
+            return IntegralResult(value, math.inf, False, evaluations)
+        magnitude = np.abs(grid)
+        floor = _ROUNDOFF * float(wx @ magnitude @ wp)
+        tails = float(wx @ (beyond * magnitude[:, last_p] + below * magnitude[:, 0]))
+        if with_x:
+            tails += 2.0 * float(magnitude[last_x] @ wp)
+        tolerance = max(spec.abs_tol, spec.rel_tol * abs(value))
+        if previous is not None:
+            err = abs(value - previous) + tails + floor
+            # Once the floor is all that is left, no finer level can help.
+            if err <= max(tolerance, 2.0 * floor):
+                return IntegralResult(value, err, err <= tolerance, evaluations)
+        previous = value
+    return IntegralResult(value, err, False, evaluations)
 
 
 def integrate_xp(
-    f: Callable[[float, float], float],
-    spec: QuadratureSpec | None = None,
-    p_singularity_order: float = 0.0,
+    f: Callable, spec: QuadratureSpec | None = None, p_singularity_order: float = 0.0
 ) -> IntegralResult:
-    """Nested quadrature of f(x, p) over (0, inf) x [1, inf).
-
-    The inner p integral runs at 10x tighter tolerances so the outer
-    error estimate dominates; the inner residual budget (rel_tol/10 of
-    the result plus abs_tol/10 per unit x) is folded into the reported
-    error.  ``evaluations`` counts integrand calls, not outer nodes.
-    """
-    spec = spec or QuadratureSpec()
-    inner_spec = spec.tightened(10.0)
-    state = {"neval": 0, "failed": False}
-
-    def outer(x: float) -> float:
-        res = integrate_p_axis(lambda p: f(x, p), p_singularity_order, inner_spec)
-        state["neval"] += res.evaluations
-        if not res.converged:
-            state["failed"] = True
-        return res.value
-
-    rx = integrate_x_axis(outer, spec)
-    err = (
-        rx.error_estimate
-        + inner_spec.rel_tol * abs(rx.value)
-        + inner_spec.abs_tol * spec.x_max
-    )
-    converged = rx.converged and not state["failed"]
-    return IntegralResult(rx.value, err, converged, state["neval"])
+    """Tensor-product integral of f(x, p, q) over (0, x_max] x [1, inf),
+    by the p-axis rule joined with the x rule; see integrate_p_axis."""
+    return integrate_p_axis(f, p_singularity_order, spec, with_x=True)

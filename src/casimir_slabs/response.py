@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
+import numpy as np
+
 from .special import bessel_i0k0_product
 
 __all__ = [
@@ -152,22 +154,20 @@ def plasma_freq_nanotube(q: float, slab: NanotubeArraySlab) -> float:
     return slab.omega_p3d * math.sqrt(num / den)
 
 
-def drude_eps_imaginary_axis(
-    xi: float, omega_p: float, eps_b: float, delta: float = 0.0
-) -> float:
-    """Drude permittivity continued to omega = i*xi: eps_b + wp^2/(xi(xi+delta)).
+def drude_eps_imaginary_axis(xi, omega_p: float, eps_b: float, delta: float = 0.0):
+    """Drude permittivity continued to omega = i*xi: eps_b + wp^2/(xi(xi+delta)),
+    for a number or an array of xi.
 
     Real, larger than eps_b, and monotonically decreasing in xi, as any
     response function must be on the imaginary axis.  The static point
     xi = 0 is a pole and rejected.
     """
-    if xi <= 0.0:
-        raise ValueError(f"xi must be > 0, got {xi}")
+    # np.any costs ~4 us on one number, and each validity report makes 60 calls
+    if np.any(xi <= 0.0) if isinstance(xi, np.ndarray) else xi <= 0.0:
+        raise ValueError(f"xi must be > 0, got {np.min(xi)}")
     return eps_b + omega_p * omega_p / (xi * (xi + delta))
 
 
-def local_drude_fn(
-    omega_p: float, eps_b: float, delta: float = 0.0
-) -> Callable[[float], float]:
+def local_drude_fn(omega_p: float, eps_b: float, delta: float = 0.0) -> Callable:
     """Permittivity-of-xi callback for the general force integral."""
     return lambda xi: drude_eps_imaginary_axis(xi, omega_p, eps_b, delta)

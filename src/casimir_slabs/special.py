@@ -1,25 +1,26 @@
-"""The two scalar special-function evaluations the force integrands need.
+"""The two special-function evaluations the force integrands need.
 
 Everything else (Fresnel factors, Bose weights) is elementary; only the
 modified-Bessel product and the Bose-type moment integral warrant their
 own functions, both delegated to scipy.special in numerically safe form.
 """
 
+import numpy as np
 from scipy.special import gamma, i0e, k0e, zeta
 
 __all__ = ["bessel_i0k0_product", "bose_integral"]
 
 
-def bessel_i0k0_product(z: float) -> float:
-    """I0(z)*K0(z), evaluated from the scaled forms e^-z I0(z) and e^z K0(z).
+def bessel_i0k0_product(z):
+    """I0(z)*K0(z) of a number or array, from the scaled e^-z I0 and e^z K0.
 
     The scaled product stays finite for any representable z > 0 (I0 alone
     overflows near z ~ 700 while the product behaves as 1/(2z)).  For
     z -> 0+ the product diverges logarithmically through K0.
     """
-    if z <= 0.0:
-        raise ValueError(f"bessel_i0k0_product requires z > 0, got {z}")
-    return float(i0e(z) * k0e(z))
+    if np.any(z <= 0.0):
+        raise ValueError(f"bessel_i0k0_product requires z > 0, got {np.min(z)}")
+    return i0e(z) * k0e(z)
 
 
 def bose_integral(s: float) -> float:

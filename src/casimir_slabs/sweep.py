@@ -45,7 +45,7 @@ from .lifshitz import (
 )
 from .quadrature import QuadratureSpec
 from .response import IsotropicSlab, NanotubeArraySlab
-from .validity import applicability_report
+from .validity import DEFAULT_THRESHOLD, applicability_report
 
 __all__ = [
     "UsageError",
@@ -263,7 +263,7 @@ def _crossover(params: dict, template, spec: QuadratureSpec) -> dict:
 def _validity(params: dict, slab: IsotropicSlab, spec: QuadratureSpec) -> dict:
     threshold = params.get("threshold")
     report = applicability_report(
-        slab, params["l"], 0.01 if threshold is None else threshold
+        slab, params["l"], DEFAULT_THRESHOLD if threshold is None else threshold
     )
     return {
         "max_rel_deviation_s": report.max_rel_deviation_s,

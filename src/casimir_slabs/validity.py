@@ -31,6 +31,7 @@ __all__ = [
 # integral, extended outward where the integrand still has weight.
 _X_GRID = (0.5, 1.0, 2.0, 4.0)
 _P_GRID = (1.0, 1.5, 2.0, 4.0, 10.0)
+DEFAULT_THRESHOLD = 0.01  # largest tolerated relative coefficient deviation
 
 
 def plasma_skin_depth_nm(omega_p: float) -> float:
@@ -102,7 +103,7 @@ class ApplicabilityReport:
 
 
 def applicability_report(
-    slab: IsotropicSlab, l: float, threshold: float = 0.01
+    slab: IsotropicSlab, l: float, threshold: float = DEFAULT_THRESHOLD
 ) -> ApplicabilityReport:
     """Scan the (x, p) grid and report whether the half-space formula is
     trustworthy for this slab at separation l (nm).

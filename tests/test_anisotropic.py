@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -123,6 +124,24 @@ class TestMainTerms:
         assert main_term_perp(1e6, spec) == pytest.approx(0.99229015, abs=1e-6)
 
 
+class TestLargeEpsLaws:
+    """Why acceptance 06's eps_b = 1e6 limit clause fails: 1 - M approaches
+    0 only like ln(eps_b)/sqrt(eps_b), the crossed term with half the
+    logarithmic coefficient of the co-aligned one."""
+
+    def test_log_over_sqrt_approach(self, spec):
+        decades = (1e4, 1e5, 1e6, 1e7, 1e8)
+
+        def increments(term):
+            scaled = [math.sqrt(e) * (1.0 - term(e, spec)) for e in decades]
+            return [b - a for a, b in zip(scaled, scaled[1:])]
+
+        par, perp = increments(main_term_parallel), increments(main_term_perp)
+        assert all(abs(step - 2.556) <= 0.05 for step in par)
+        assert all(abs(step - 1.278) <= 0.025 for step in perp)
+        assert all(abs(a / b - 2.0) <= 0.03 for a, b in zip(par, perp))
+
+
 class TestOrientationForces:
     def test_infinite_plasma_frequency_reduces_to_main_terms(self, fast_spec):
         stiff = NanotubeArraySlab(
@@ -165,7 +184,7 @@ class TestOrientationForces:
         )
 
     def test_quadrature_failure_flagged(self, tube_array):
-        broken = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_subdivisions=1)
+        broken = QuadratureSpec(rel_tol=1e-15, abs_tol=0.0)  # below the roundoff floor
         res = f_parallel_ratio(tube_array, 1000.0, broken)
         assert res.validity == "quadrature_failed"
 
@@ -249,6 +268,6 @@ class TestCrossover:
             crossover_thickness(array(100.0), 1000.0, (1.0, 100.0), fast_spec)
 
     def test_quadrature_failure_propagates(self, tube_array):
-        broken = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_subdivisions=1)
+        broken = QuadratureSpec(rel_tol=1e-15, abs_tol=0.0)  # below the roundoff floor
         with pytest.raises(QuadratureError):
             crossover_thickness(tube_array, 1000.0, (10.0, 30.0), broken)

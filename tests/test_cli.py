@@ -104,12 +104,29 @@ class TestPointCommands:
         assert code == 2
 
     def test_quadrature_failure_exit_code(self, capsys):
-        broken = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_subdivisions=1)
+        broken = QuadratureSpec(rel_tol=1e-15, abs_tol=0.0)  # below the roundoff floor
         params = {"l": 1000.0, "d": 10.0, "eps_b": 9.0, "omega_p": 2e16}
         code = run_point("iso_nonlocal", params, broken)
         out = capsys.readouterr().out
         assert code == 3
         assert result_records(out)[0]["validity"] == "quadrature_failed"
+
+    def test_infinite_correction_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "iso-thin", "--d-nm", "1e-10", "--l-nm", "1", "--omega-p", "1e-300"
+        )
+        assert code == 2
+        assert "Infinity" not in out and "RESULT" not in out
+        assert "no finite pressure" in err
+
+    def test_result_line_is_strict_json(self, capsys, monkeypatch):
+        # any non-finite output left over is refused, not printed as Infinity
+        monkeypatch.setattr(
+            cli, "evaluate_quantity", lambda *a: {"ratio_to_casimir": float("inf")}
+        )
+        code, out, _ = run(capsys, "casimir", "--l-nm", "1000")
+        assert code == 2
+        assert "RESULT" not in out
 
 
 @pytest.mark.parametrize(

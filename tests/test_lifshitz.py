@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from casimir_slabs import (
@@ -126,7 +127,10 @@ class TestLocalForce:
         assert lifshitz_force_local(OMEGA_P, flip - 1.0).validity == "correction_dominant"
         assert lifshitz_force_local(OMEGA_P, flip + 1.0).validity == "valid"
 
-    @pytest.mark.parametrize("omega_p,l", [(0.0, 1000.0), (OMEGA_P, 0.0)])
+    # omega_p l underflowing to 0 must not become a ZeroDivisionError
+    @pytest.mark.parametrize(
+        "omega_p,l", [(0.0, 1000.0), (OMEGA_P, 0.0), (1e-300, 1e-30)]
+    )
     def test_domain(self, omega_p, l):
         with pytest.raises(ValueError):
             lifshitz_force_local(omega_p, l)
@@ -205,9 +209,9 @@ class TestThinLimit:
         assert res.ratio_to_casimir == pytest.approx(1.0, abs=1e-4)
 
     def test_factorized_vs_two_dimensional_quadrature(self, spec):
-        def unfactorized(x, p):
-            bose = x ** 3.5 * math.exp(-x) / math.expm1(-x) ** 2
-            return bose * (p * p + 1.0) / (p ** 3.5 * (p * p - 1.0) ** 0.25)
+        def unfactorized(x, p, q):
+            bose = x ** 3.5 * np.exp(-x) / np.expm1(-x) ** 2
+            return bose * (p * p + 1.0) / (p ** 3.5 * np.sqrt(q))
 
         res = integrate_xp(unfactorized, spec, p_singularity_order=0.25)
         coeff_2d = 15.0 * math.sqrt(2.0) / math.pi ** 4 * res.value

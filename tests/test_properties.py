@@ -1,5 +1,6 @@
-"""Property tests of the closed forms, with few, derandomized examples so
-that the suite stays deterministic and quick."""
+"""Property tests of the closed forms and the quadrature evaluators, with
+few, derandomized examples so that the suite stays deterministic and
+quick."""
 
 import contextlib
 import io
@@ -14,6 +15,7 @@ from casimir_slabs import (
     NanotubeArraySlab,
     applicability_report,
     lifshitz_force_local,
+    nonlocal_isotropic_ratio,
     thin_limit_ratio,
 )
 from casimir_slabs.cli import main
@@ -112,3 +114,42 @@ def test_iso_thin_result_line_has_no_nan(d, l, w, e):
     assert code in (0, 2)
     assert len(results) == (code == 0)
     assert not any("NaN" in line for line in results)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(st.floats(1.0, 1.0e3), st.floats(50.0, 1.0e5), omega_p, eps_b, factor)
+def test_iso_nonlocal_in_unit_interval_and_increasing_in_d_and_l(d, l, w, e, k):
+    res = nonlocal_isotropic_ratio(film(d, w, e), l)
+    assert math.isfinite(res.error_estimate)
+    if res.validity == "valid":
+        assert 0.0 < res.ratio_to_casimir <= 1.0
+    for other in (nonlocal_isotropic_ratio(film(k * d, w, e), l),
+                  nonlocal_isotropic_ratio(film(d, w, e), k * l)):
+        gain = other.ratio_to_casimir - res.ratio_to_casimir
+        assert gain > other.error_estimate + res.error_estimate
+
+
+@few
+@given(positive, positive, positive, st.floats(2.5, 1.0e300))
+@example(10.0, 1e-30, 1e-300, 9.0)  # omega_p l underflows to 0
+def test_iso_nonlocal_edge_inputs_fail_loudly(d, l, w, e):
+    try:
+        res = nonlocal_isotropic_ratio(film(d, w, e), l)
+    except ValueError:
+        return
+    values = (res.ratio_to_casimir, res.pressure, res.error_estimate)
+    assert res.validity == "quadrature_failed" or all(map(math.isfinite, values))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.sampled_from(["iso-nonlocal", "aniso"]), positive, positive, positive)
+@example("iso-nonlocal", 10.0, 1000.0, 1e-300)  # the correction overflows
+@example("aniso", 20.0, 1000.0, 1e-300)
+def test_quadrature_result_lines_have_no_nan_or_infinity(command, d, l, w):
+    argv = [command, "--d-nm", repr(d), "--l-nm", repr(l), "--omega-p", repr(w)]
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    results = [line for line in out.getvalue().splitlines() if line.startswith("RESULT")]
+    assert code in (0, 2, 3)
+    assert not any(word in line for line in results for word in ("NaN", "Infinity"))

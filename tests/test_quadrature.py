@@ -1,14 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from casimir_slabs import (
-    QuadratureSpec,
-    bose_integral,
-    integrate_p_axis,
-    integrate_x_axis,
-    integrate_xp,
-)
+import casimir_slabs
+from casimir_slabs import QuadratureSpec, bose_integral, integrate_p_axis, integrate_xp
 
 PI4_OVER_15 = math.pi ** 4 / 15.0
 
@@ -18,7 +18,13 @@ P_SINGULAR = 1.6773963286298124
 
 
 def bose_weight(s):
-    return lambda x: x ** s * math.exp(-x) / math.expm1(-x) ** 2
+    return lambda x: x ** s * np.exp(-x) / np.expm1(-x) ** 2
+
+
+def integrate_x_axis(f, spec):
+    """The x rule alone, through the (x, p) engine: f(x) times 1/p^2,
+    whose p integral over [1, inf) is exactly 1."""
+    return integrate_xp(lambda x, p, q: f(x) / (p * p), spec)
 
 
 class TestSpecValidation:
@@ -45,18 +51,20 @@ class TestSpecValidation:
         ],
     )
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        # max_subdivisions is no field of the engine's spec any more
+        error = TypeError if "max_subdivisions" in kwargs else ValueError
+        with pytest.raises(error):
             QuadratureSpec(**kwargs)
 
 
 class TestXAxis:
     def test_bose_weight_x3(self, spec):
-        res = integrate_x_axis(lambda x: x ** 3 / math.expm1(x), spec)
+        res = integrate_x_axis(lambda x: x ** 3 / np.expm1(x), spec)
         assert res.converged
         assert res.value == pytest.approx(PI4_OVER_15, rel=spec.rel_tol * 10)
 
     def test_plain_exponential(self, spec):
-        res = integrate_x_axis(lambda x: math.exp(-x), spec)
+        res = integrate_x_axis(lambda x: np.exp(-x), spec)
         assert res.converged
         assert res.value == pytest.approx(1.0, rel=1e-10)
 
@@ -78,31 +86,31 @@ class TestXAxis:
         )
 
     def test_non_convergence_is_flagged_not_raised(self):
-        tight = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_subdivisions=1)
-        res = integrate_x_axis(lambda x: x ** 3 / math.expm1(x), tight)
+        tight = QuadratureSpec(rel_tol=1e-15, abs_tol=0.0)  # below the roundoff floor
+        res = integrate_x_axis(lambda x: x ** 3 / np.expm1(x), tight)
         assert not res.converged
 
 
 class TestPAxis:
     def test_elementary_antiderivative(self, spec):
-        res = integrate_p_axis(lambda p: (p * p + 1.0) / p ** 4, 0.0, spec)
+        res = integrate_p_axis(lambda p, q: (p * p + 1.0) / p ** 4, 0.0, spec)
         assert res.converged
         assert res.value == pytest.approx(4.0 / 3.0, rel=spec.rel_tol * 10)
 
     def test_inverse_square(self, spec):
-        res = integrate_p_axis(lambda p: p ** -2, 0.0, spec)
+        res = integrate_p_axis(lambda p, q: p ** -2, 0.0, spec)
         assert res.value == pytest.approx(1.0, rel=spec.rel_tol * 10)
 
     def test_quarter_power_endpoint_singularity(self, spec):
         res = integrate_p_axis(
-            lambda p: (p * p + 1.0) / (p ** 3.5 * (p * p - 1.0) ** 0.25), 0.25, spec
+            lambda p, q: (p * p + 1.0) / (p ** 3.5 * np.sqrt(q)), 0.25, spec
         )
         assert res.converged
         assert res.value == pytest.approx(P_SINGULAR, rel=1e-8)
 
     def test_singular_integral_feeds_thin_coefficient(self, spec):
         res = integrate_p_axis(
-            lambda p: (p * p + 1.0) / (p ** 3.5 * (p * p - 1.0) ** 0.25), 0.25, spec
+            lambda p, q: (p * p + 1.0) / (p ** 3.5 * np.sqrt(q)), 0.25, spec
         )
         coeff = 15.0 * math.sqrt(2.0) / math.pi ** 4 * bose_integral(3.5) * res.value
         assert coeff == pytest.approx(4.79, abs=0.01)
@@ -110,14 +118,14 @@ class TestPAxis:
     @pytest.mark.parametrize("order", [1.0, 1.5, -0.1])
     def test_bad_singularity_order(self, order, spec):
         with pytest.raises(ValueError):
-            integrate_p_axis(lambda p: p ** -2, order, spec)
+            integrate_p_axis(lambda p, q: p ** -2, order, spec)
 
     @pytest.mark.parametrize(
         "f, exact",
         [
-            (lambda p: (p * p + 1.0) / p ** 4, 4.0 / 3.0),
-            (lambda p: p ** -2, 1.0),
-            (lambda p: p ** -3, 0.5),
+            (lambda p, q: (p * p + 1.0) / p ** 4, 4.0 / 3.0),
+            (lambda p, q: p ** -2, 1.0),
+            (lambda p, q: p ** -3, 0.5),
         ],
     )
     def test_transform_invariance_smooth(self, f, exact, spec):
@@ -129,7 +137,7 @@ class TestPAxis:
         assert hyper.value == pytest.approx(exact, rel=spec.rel_tol * 10)
 
     def test_transform_invariance_singular(self, spec):
-        f = lambda p: (p * p + 1.0) / (p ** 3.5 * (p * p - 1.0) ** 0.25)
+        f = lambda p, q: (p * p + 1.0) / (p ** 3.5 * np.sqrt(q))
         hyper = integrate_p_axis(f, 0.25, spec)
         shifted = integrate_p_axis(
             f, 0.25, QuadratureSpec(p_transform="shifted-square")
@@ -141,9 +149,9 @@ class TestToleranceScaling:
     @pytest.mark.parametrize(
         "integrate, f, order, exact",
         [
-            (integrate_x_axis, lambda x: x ** 3 / math.expm1(x), None, PI4_OVER_15),
+            (integrate_x_axis, lambda x: x ** 3 / np.expm1(x), None, PI4_OVER_15),
             (integrate_x_axis, bose_weight(4.0), None, 24.0 * math.pi ** 4 / 90.0),
-            (integrate_p_axis, lambda p: (p * p + 1.0) / p ** 4, 0.0, 4.0 / 3.0),
+            (integrate_p_axis, lambda p, q: (p * p + 1.0) / p ** 4, 0.0, 4.0 / 3.0),
         ],
     )
     def test_halving_rel_tol_never_worse(self, integrate, f, order, exact):
@@ -161,18 +169,30 @@ class TestToleranceScaling:
 
 class TestDoubleIntegral:
     def test_separable_product(self, spec):
-        res = integrate_xp(lambda x, p: math.exp(-x) / (p * p), spec)
+        res = integrate_xp(lambda x, p, q: np.exp(-x) / (p * p), spec)
         assert res.converged
         assert res.value == pytest.approx(1.0, rel=1e-7)
         assert res.evaluations > 0
 
     def test_inner_failure_propagates_to_flag(self):
-        bad = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_subdivisions=1)
-        res = integrate_xp(lambda x, p: math.exp(-x) / (p * p), bad)
+        bad = QuadratureSpec(rel_tol=1e-15, abs_tol=0.0)  # below the roundoff floor
+        res = integrate_xp(lambda x, p, q: np.exp(-x) / (p * p), bad)
         assert not res.converged
 
     def test_result_is_deterministic(self, spec):
-        f = lambda x, p: math.exp(-x) * (p * p + 1.0) / p ** 4
+        f = lambda x, p, q: np.exp(-x) * (p * p + 1.0) / p ** 4
         first = integrate_xp(f, spec)
         second = integrate_xp(f, spec)
         assert first == second
+
+
+def test_package_does_not_load_scipy_integrate():
+    # QUADPACK is a test oracle only (tests/oracle.py); importing the
+    # package in a fresh interpreter must not pay for scipy.integrate.
+    src = Path(casimir_slabs.__file__).resolve().parents[1]
+    probe = "import sys, casimir_slabs; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.stdout.strip() == "False"
