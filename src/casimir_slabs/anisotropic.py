@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
@@ -28,8 +27,7 @@ from .lifshitz import (
     RATIO_NORM, ForceResult, _flag, _force_result, _over, casimir_pressure,
 )
 from .quadrature import IntegralResult, QuadratureError, QuadratureSpec, integrate_xp
-from .response import NanotubeArraySlab, eps_tilde
-from .special import bessel_i0k0_product
+from .response import NanotubeArraySlab, _tube_factor, fresnel_coeffs, momentum_from_xp
 
 __all__ = [
     "phi",
@@ -59,24 +57,20 @@ def phi(p, eps_b: float):
     """s-polarization background factor (S+p)/(S-p), S = sqrt(eps_b-1+p^2),
     for a number or an array of p.
 
-    Evaluated as (S+p)^2/(eps_b-1), exact and free of the large-p
+    The reciprocal of the half-space r_s at eps_b, so free of the large-p
     cancellation in S - p.  Always >= (sqrt(eps_b)+1)/(sqrt(eps_b)-1) > 1.
     """
     _check_background(p, eps_b)
-    s = np.sqrt(eps_b - 1.0 + p * p)
-    return (s + p) ** 2 / (eps_b - 1.0)
+    return 1.0 / fresnel_coeffs(eps_b, p)[0]
 
 
 def psi(p, eps_b: float):
     """p-polarization background factor (S+eps_b p)/(S-eps_b p), for a
-    number or an array of p.
+    number or an array of p: the reciprocal of the half-space r_p at eps_b.
 
-    The denominator is negative for all p >= 1, eps_b > 1, so psi <= -1;
-    evaluated as (S+eps_b p)^2 / ((eps_b-1)(1 - p^2(eps_b+1)))."""
+    The denominator is negative for all p >= 1, eps_b > 1, so psi <= -1."""
     _check_background(p, eps_b)
-    pp = p * p
-    s = np.sqrt(eps_b - 1.0 + pp)
-    return (s + eps_b * p) ** 2 / ((eps_b - 1.0) * (1.0 - pp * (eps_b + 1.0)))
+    return 1.0 / fresnel_coeffs(eps_b, p)[1]
 
 
 # Main terms depend on (eps_b, spec) only: computed once, then reused.
@@ -120,22 +114,11 @@ def main_term_perp(eps_b: float, spec: QuadratureSpec | None = None) -> float:
     return RATIO_NORM * _main_perp_integral(eps_b, spec).value
 
 
-def _radical_fn(array: NanotubeArraySlab, l: float) -> Callable:
-    """sqrt(Delta/(4 pi R) * a(1 + R a/(eps~ d)) / (I0 K0(1/a))) with
-    a = (2l/R) p/(x sqrt(p^2-1)); the inverse of the tube-array plasma
-    frequency expressed in the (x, p) variables."""
-    et_d = eps_tilde(array) * array.thickness_d
-    r = array.radius_R
-    pref = array.period_Delta / (4.0 * math.pi * r)
-    two_l_over_r = 2.0 * l / r
-
-    def radical(x, p, q):
-        a = two_l_over_r * p / (x * q)
-        return np.sqrt(
-            pref * a * (1.0 + r * a / et_d) / bessel_i0k0_product(1.0 / a)
-        )
-
-    return radical
+def _correction_coef(array: NanotubeArraySlab, l: float) -> float:
+    """15 c/(pi^4 omega_p3d l) sqrt(Delta/(2 pi R)): the co-aligned
+    prefactor of the correction integral over omega_p3d/omega_p(k)."""
+    weight = math.sqrt(array.period_Delta / (2.0 * math.pi * array.radius_R))
+    return _over(15.0 * C_NM_PER_S * weight, PI4 * array.omega_p3d * l)
 
 
 def _assemble(
@@ -160,17 +143,16 @@ def f_parallel_ratio(
     Main term 1/2 + phi^2-damped dielectric channel, minus the
     Bessel-weighted finite-plasma-frequency correction."""
     f_c = casimir_pressure(l)
-    radical = _radical_fn(array, l)
 
     def fcorr(x, p, q):
         pp = p * p
         bose = x ** 4 * np.exp(-x) / np.expm1(-x) ** 2
-        return bose / (pp * pp) * radical(x, p, q)
+        k = momentum_from_xp(x, p, q, l)
+        return bose / (pp * pp) * _tube_factor(k, array)
 
     main = _main_parallel_integral(array.eps_b, spec)
     corr = integrate_xp(fcorr, spec, p_singularity_order=0.5)
-    coef = _over(15.0 * C_NM_PER_S, PI4 * array.omega_p3d * l)
-    return _assemble(main, corr, 0.5, coef, f_c)
+    return _assemble(main, corr, 0.5, _correction_coef(array, l), f_c)
 
 
 def f_perp_ratio(
@@ -179,11 +161,10 @@ def f_perp_ratio(
     """Force ratio for crossed nanotube-array slabs.
 
     Both channels are metal-dielectric; the correction carries the same
-    radical as the co-aligned case at half the prefactor, weighted by
-    the squared round-trip denominators."""
+    dispersion factor as the co-aligned case at half the prefactor,
+    weighted by the squared round-trip denominators."""
     f_c = casimir_pressure(l)
     eps_b = array.eps_b
-    radical = _radical_fn(array, l)
 
     def fcorr(x, p, q):
         emx = np.exp(-x)
@@ -192,12 +173,12 @@ def f_perp_ratio(
         # x^4 e^x [phi p/(phi e^x - 1)^2 - (psi/p)/(psi e^x + 1)^2] / p^3,
         # folded with e^(-2x) so nothing grows with x.
         bracket = ph * p / (ph - emx) ** 2 - (ps / p) / (ps + emx) ** 2
-        return x ** 4 * emx * bracket / p ** 3 * radical(x, p, q)
+        k = momentum_from_xp(x, p, q, l)
+        return x ** 4 * emx * bracket / p ** 3 * _tube_factor(k, array)
 
     main = _main_perp_integral(eps_b, spec)
     corr = integrate_xp(fcorr, spec, p_singularity_order=0.5)
-    coef = _over(15.0 * C_NM_PER_S, 2.0 * PI4 * array.omega_p3d * l)
-    return _assemble(main, corr, 0.0, coef, f_c)
+    return _assemble(main, corr, 0.0, 0.5 * _correction_coef(array, l), f_c)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .quadrature import (
     integrate_p_axis,
     integrate_xp,
 )
-from .response import IsotropicSlab, eps_tilde
+from .response import IsotropicSlab, _film_factor, eps_tilde, momentum_from_xp
 from .special import bose_integral
 
 __all__ = [
@@ -167,17 +167,17 @@ def nonlocal_isotropic_ratio(
     """Force between identical isotropic slabs with the thickness-dependent
     momentum dispersion of the in-plane plasma frequency.
 
-    The dispersion enters as sqrt(1 + (2l/eps~ d) p/(x sqrt(p^2-1))),
-    which diverges as (p^2-1)^(-1/2) at normal incidence and leaves an
-    integrable (p^2-1)^(-1/4) factor in the p integrand.
+    The dispersion enters as omega_p3d/omega_p(k) = sqrt(1 + 1/(eps~ k d)),
+    which diverges as (p^2-1)^(-1/4) at normal incidence, an integrable
+    factor in the p integrand.
     """
     f_c = casimir_pressure(l)
-    beta = 2.0 * l / (eps_tilde(slab) * slab.thickness_d)
 
     def f(x, p, q):
         pp = p * p
         bose = x ** 4 * np.exp(-x) / np.expm1(-x) ** 2
-        return bose * (pp + 1.0) / (pp * pp) * np.sqrt(1.0 + beta * p / (x * q))
+        k = momentum_from_xp(x, p, q, l)
+        return bose * ((pp + 1.0) / (pp * pp) * _film_factor(k, slab))
 
     res = integrate_xp(f, spec, p_singularity_order=0.25)
     coef = _over(15.0 * C_NM_PER_S, PI4 * slab.omega_p3d * l)

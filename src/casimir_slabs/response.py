@@ -1,10 +1,11 @@
 """Electromagnetic response on the imaginary frequency axis.
 
-Holds the slab descriptors and the confinement-induced nonlocal plasma
-frequencies: the in-plane isotropic film model and the aligned-nanotube
-array model, together with the local Drude permittivity evaluated at
-omega = i*xi and the (x, p) -> k mapping used inside the force
-integrands.
+Holds the slab descriptors and the one description of each response
+model that the public functions and the force kernels share: the
+confinement-induced nonlocal plasma frequencies of the in-plane
+isotropic film and of the aligned-nanotube array, the (x, p) -> k
+mapping used inside the force integrands, the half-space Fresnel pair
+and the local Drude permittivity evaluated at omega = i*xi.
 
 Lengths are nm, angular frequencies s^-1.  All functions are pure.
 """
@@ -26,6 +27,7 @@ __all__ = [
     "momentum_from_xp",
     "plasma_freq_isotropic",
     "plasma_freq_nanotube",
+    "fresnel_coeffs",
     "drude_eps_imaginary_axis",
     "local_drude_fn",
 ]
@@ -111,47 +113,72 @@ def eps_tilde(slab: Slab) -> float:
     return slab.eps_b / (slab.eps_sub + slab.eps_sup)
 
 
-def momentum_from_xp(x: float, p: float, l: float) -> float:
-    """In-plane momentum k = x sqrt(p^2-1)/(2 p l) in 1/nm.
+def momentum_from_xp(x, p, q, l: float):
+    """In-plane momentum k = x q/(2 p l) in 1/nm of numbers or arrays, with
+    q = sqrt(p^2-1) passed exactly, since p*p - 1 rounds to 0 near p = 1.
 
     Consistent with xi = x c/(2 p l) on the imaginary axis, where the
     wave-vector relation reads omega p / c = sqrt((omega/c)^2 - k^2).
     """
-    return x * math.sqrt(max(p * p - 1.0, 0.0)) / (2.0 * p * l)
+    return x * (q / (2.0 * p * l))
 
 
-def plasma_freq_isotropic(k: float, slab: Slab) -> float:
+def _film_factor(k, slab: Slab):
+    """omega_p3d / omega_p(k) of the isotropic film, sqrt(1 + 1/(eps~ k d)),
+    for k > 0."""
+    return np.sqrt(1.0 + 1.0 / (eps_tilde(slab) * slab.thickness_d) / k)
+
+
+def _tube_factor(k, slab: NanotubeArraySlab):
+    """omega_p3d / omega_p(k) of the nanotube array: the film factor over
+    sqrt(2 z I0(z) K0(z)), z = k R, for k > 0."""
+    z = k * slab.radius_R
+    return _film_factor(k, slab) / np.sqrt(2.0 * z * bessel_i0k0_product(z))
+
+
+def _plasma_freq(k, slab: Slab, factor: Callable):
+    """omega_p3d / factor(k) for k > 0, and 0 at k = 0 by continuity."""
+    k = np.asarray(k, dtype=float)
+    if np.any(k < 0.0):
+        raise ValueError(f"momentum must be >= 0, got {np.min(k)}")
+    zero = k == 0.0
+    omega = slab.omega_p3d / factor(np.where(zero, 1.0, k), slab)
+    return np.where(zero, 0.0, omega)[()]
+
+
+def plasma_freq_isotropic(k, slab: Slab):
     """Momentum-dependent in-plane plasma frequency of a thin isotropic film.
 
     omega_p(k) = omega_p3d / sqrt(1 + 1/(eps~ k d)); tends to the bulk
     value for k d -> inf and to the sqrt(k)-dispersive two-dimensional
-    form for small k.  Defined as 0 at k = 0 by continuity.
+    form for small k.  0 at k = 0 by continuity; k may be an array.
     """
-    if k < 0.0:
-        raise ValueError(f"momentum must be >= 0, got {k}")
-    if k == 0.0:
-        return 0.0
-    return slab.omega_p3d / math.sqrt(
-        1.0 + 1.0 / (eps_tilde(slab) * k * slab.thickness_d)
-    )
+    return _plasma_freq(k, slab, _film_factor)
 
 
-def plasma_freq_nanotube(q: float, slab: NanotubeArraySlab) -> float:
+def plasma_freq_nanotube(q, slab: NanotubeArraySlab):
     """Plasma frequency along the tube alignment of a nanotube-array slab.
 
     omega_p(q) = omega_p3d sqrt(2 q R I0(qR) K0(qR) / (1 + 1/(q eps~ d))).
     The Bessel product normalises the carrier distribution over the
     cylinder surfaces; for qR -> inf it tends to 1/(2qR) and the
-    isotropic film expression is recovered.  0 at q = 0 by continuity.
+    isotropic film expression is recovered.  0 at q = 0 by continuity;
+    q may be an array.
     """
-    if q < 0.0:
-        raise ValueError(f"momentum must be >= 0, got {q}")
-    if q == 0.0:
-        return 0.0
-    z = q * slab.radius_R
-    num = 2.0 * z * bessel_i0k0_product(z)
-    den = 1.0 + 1.0 / (q * eps_tilde(slab) * slab.thickness_d)
-    return slab.omega_p3d * math.sqrt(num / den)
+    return _plasma_freq(q, slab, _tube_factor)
+
+
+def fresnel_coeffs(eps, p):
+    """Imaginary-axis Fresnel pair r_s = (s-p)/(s+p), r_p = (s-eps p)/(s+eps p),
+    s = sqrt(eps-1+p^2), of a half-space of permittivity eps, for numbers or
+    arrays; in difference-free rational form, exactly 0 at eps = 1 and free
+    of the large-p cancellation in s - p.
+    """
+    pp = p * p
+    s = np.sqrt(eps - 1.0 + pp)
+    r_s = (eps - 1.0) / (s + p) ** 2
+    r_p = (eps - 1.0) * (1.0 - pp * (eps + 1.0)) / (s + eps * p) ** 2
+    return r_s, r_p
 
 
 def drude_eps_imaginary_axis(xi, omega_p: float, eps_b: float, delta: float = 0.0):
@@ -162,8 +189,7 @@ def drude_eps_imaginary_axis(xi, omega_p: float, eps_b: float, delta: float = 0.
     response function must be on the imaginary axis.  The static point
     xi = 0 is a pole and rejected.
     """
-    # np.any costs ~4 us on one number, and each validity report makes 60 calls
-    if np.any(xi <= 0.0) if isinstance(xi, np.ndarray) else xi <= 0.0:
+    if np.any(xi <= 0.0):
         raise ValueError(f"xi must be > 0, got {np.min(xi)}")
     return eps_b + omega_p * omega_p / (xi * (xi + delta))
 

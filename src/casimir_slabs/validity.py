@@ -11,13 +11,14 @@ region that dominates the force integral.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .constants import C_NM_PER_S
 from .lifshitz import casimir_pressure
-from .response import IsotropicSlab, local_drude_fn
+from .response import IsotropicSlab, fresnel_coeffs, local_drude_fn
 
 __all__ = [
     "halfspace_reflection_coeffs",
@@ -42,31 +43,34 @@ def plasma_skin_depth_nm(omega_p: float) -> float:
 
 
 def halfspace_reflection_coeffs(
-    x: float, p: float, l: float, eps_fn: Callable[[float], float]
+    x, p, l: float, eps_fn: Callable[[float], float]
 ) -> tuple[float, float]:
-    """Imaginary-axis Fresnel coefficients of a medium-filled half-space.
+    """Imaginary-axis Fresnel coefficients (r_s, r_p) of a medium-filled
+    half-space, response.fresnel_coeffs at eps = eps_fn(x c/(2 p l)), for
+    numbers or arrays of (x, p)."""
+    return fresnel_coeffs(eps_fn(x * C_NM_PER_S / (2.0 * p * l)), p)
 
-    r_s = (s-p)/(s+p), r_p = (s - eps p)/(s + eps p) with
-    eps = eps_fn(x c/(2 p l)) and s = sqrt(eps - 1 + p^2), evaluated in
-    difference-free rational form (exact zero at eps = 1).
-    """
+
+def _halfspace_and_film(x, p, l: float, d: float, eps_fn: Callable):
+    """((r_s, r_p), (R_s, R_p)) of the half-space and of the film of
+    thickness d (nm), R = r (1 - E)/(1 - r^2 E), from one permittivity
+    evaluation."""
     xi = x * C_NM_PER_S / (2.0 * p * l)
     eps = eps_fn(xi)
-    pp = p * p
-    s = math.sqrt(eps - 1.0 + pp)
-    r_s = (eps - 1.0) / (s + p) ** 2
-    r_p = (eps - 1.0) * (1.0 - pp * (eps + 1.0)) / (s + eps * p) ** 2
-    return r_s, r_p
+    halfspace = fresnel_coeffs(eps, p)
+    e = np.exp(-2.0 * d * xi * np.sqrt(eps - 1.0 + p * p) / C_NM_PER_S)
+    return halfspace, tuple(r * (1.0 - e) / (1.0 - r * r * e) for r in halfspace)
 
 
 def film_reflection_coeffs(
-    x: float,
-    p: float,
+    x,
+    p,
     l: float,
     d: float,
     eps_fn: Callable[[float], float],
 ) -> tuple[float, float]:
-    """Reflection coefficients of a free-standing film of thickness d (nm).
+    """Reflection coefficients of a free-standing film of thickness d (nm),
+    for numbers or arrays of (x, p).
 
     R = r (1 - E) / (1 - r^2 E) with E = exp(-2 d (xi/c) s), the
     round-trip attenuation through the film on the imaginary axis.  For
@@ -76,16 +80,7 @@ def film_reflection_coeffs(
     """
     if d <= 0.0:
         raise ValueError(f"thickness must be > 0, got {d} nm")
-    xi = x * C_NM_PER_S / (2.0 * p * l)
-    eps = eps_fn(xi)
-    s = math.sqrt(eps - 1.0 + p * p)
-    attenuation = math.exp(-2.0 * d * xi * s / C_NM_PER_S)
-    r_s, r_p = halfspace_reflection_coeffs(x, p, l, eps_fn)
-
-    def film(r: float) -> float:
-        return r * (1.0 - attenuation) / (1.0 - r * r * attenuation)
-
-    return film(r_s), film(r_p)
+    return _halfspace_and_film(x, p, l, d, eps_fn)[1]
 
 
 @dataclass(frozen=True)
@@ -117,16 +112,13 @@ def applicability_report(
         raise ValueError(f"threshold must be > 0, got {threshold}")
     eps_fn = local_drude_fn(slab.omega_p3d, slab.eps_b)
 
-    max_s = 0.0
-    max_p = 0.0
-    for x in _X_GRID:
-        for p in _P_GRID:
-            r_s, r_p = halfspace_reflection_coeffs(x, p, l, eps_fn)
-            big_r_s, big_r_p = film_reflection_coeffs(
-                x, p, l, slab.thickness_d, eps_fn
-            )
-            max_s = max(max_s, abs(big_r_s - r_s) / abs(r_s))
-            max_p = max(max_p, abs(big_r_p - r_p) / abs(r_p))
+    x = np.array(_X_GRID)[:, None]
+    p = np.array(_P_GRID)
+    (r_s, r_p), (big_r_s, big_r_p) = _halfspace_and_film(
+        x, p, l, slab.thickness_d, eps_fn
+    )
+    max_s = float(np.max(np.abs(big_r_s - r_s) / np.abs(r_s)))
+    max_p = float(np.max(np.abs(big_r_p - r_p) / np.abs(r_p)))
 
     d_ok = 2.0 * slab.thickness_d * slab.omega_p3d / C_NM_PER_S > 1.0
     l_ok = C_NM_PER_S / (2.0 * l * slab.omega_p3d) < 1.0

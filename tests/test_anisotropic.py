@@ -11,6 +11,7 @@ from casimir_slabs import (
     crossover_thickness,
     f_parallel_ratio,
     f_perp_ratio,
+    halfspace_reflection_coeffs,
     lifshitz_pressure_general,
     main_term_parallel,
     main_term_perp,
@@ -54,6 +55,14 @@ class TestBackgroundFactors:
     def test_p_domain(self):
         with pytest.raises(ValueError):
             phi(0.5, 9.0)
+
+    def test_reciprocals_of_the_halfspace_pair(self):
+        # phi = 1/r_s and psi = 1/r_p of a half-space of permittivity eps_b
+        for eps_b in (1.5, 10.0, 1e6):
+            p = np.geomspace(1.0, 1e3, 7)
+            r_s, r_p = halfspace_reflection_coeffs(1.0, p, 1000.0, lambda xi: eps_b)
+            assert np.allclose(phi(p, eps_b) * r_s, 1.0, rtol=1e-14, atol=0.0)
+            assert np.allclose(psi(p, eps_b) * r_p, 1.0, rtol=1e-14, atol=0.0)
 
     def test_sign_structure_on_grid(self):
         for eps_b in (1.5, 5.0, 10.0, 100.0):

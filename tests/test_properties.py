@@ -14,7 +14,11 @@ from casimir_slabs import (
     IsotropicSlab,
     NanotubeArraySlab,
     applicability_report,
+    f_parallel_ratio,
+    f_perp_ratio,
     lifshitz_force_local,
+    main_term_parallel,
+    main_term_perp,
     nonlocal_isotropic_ratio,
     thin_limit_ratio,
 )
@@ -127,6 +131,26 @@ def test_iso_nonlocal_in_unit_interval_and_increasing_in_d_and_l(d, l, w, e, k):
                   nonlocal_isotropic_ratio(film(d, w, e), k * l)):
         gain = other.ratio_to_casimir - res.ratio_to_casimir
         assert gain > other.error_estimate + res.error_estimate
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(st.floats(0.5, 5.0), st.floats(1.0, 50.0), st.floats(50.0, 1.0e4),
+       st.floats(1.5, 100.0), factor)
+def test_array_ratios_below_main_terms_and_increasing_in_d(radius, layers, l, e, k):
+    def forces(d):
+        array = NanotubeArraySlab(
+            omega_p3d=2.0e16, radius_R=radius, thickness_d=d, eps_b=e
+        )
+        return f_parallel_ratio(array, l), f_perp_ratio(array, l)
+
+    d = 2.0 * radius * layers
+    main = (main_term_parallel(e), main_term_perp(e))
+    for res, thicker, limit in zip(forces(d), forces(k * d), main):
+        assert math.isfinite(res.error_estimate)
+        assert math.isfinite(thicker.error_estimate)
+        assert res.ratio_to_casimir < limit
+        gain = thicker.ratio_to_casimir - res.ratio_to_casimir
+        assert gain > thicker.error_estimate + res.error_estimate
 
 
 @few

@@ -12,6 +12,7 @@ from casimir_slabs import (
     plasma_freq_isotropic,
     plasma_freq_nanotube,
 )
+from casimir_slabs.response import fresnel_coeffs
 
 OMEGA_P = 2.0e16
 
@@ -97,10 +98,10 @@ class TestEpsTilde:
 
 class TestMomentumMap:
     def test_normal_incidence(self):
-        assert momentum_from_xp(3.7, 1.0, 250.0) == 0.0
+        assert momentum_from_xp(3.7, 1.0, 0.0, 250.0) == 0.0
 
     def test_sample_point(self):
-        k = momentum_from_xp(2.0, math.sqrt(2.0), 1000.0)
+        k = momentum_from_xp(2.0, math.sqrt(2.0), 1.0, 1000.0)
         assert k == pytest.approx(1.0 / (math.sqrt(2.0) * 1000.0), rel=1e-12)
         assert k == pytest.approx(7.0711e-4, rel=1e-4)
 
@@ -109,10 +110,26 @@ class TestMomentumMap:
         slab = IsotropicSlab(omega_p3d=OMEGA_P, thickness_d=10.0, eps_b=9.0)
         et, d, l = eps_tilde(slab), slab.thickness_d, 1000.0
         for x, p in [(0.5, 1.5), (2.0, 1.01), (4.0, 10.0)]:
-            k = momentum_from_xp(x, p, l)
+            k = momentum_from_xp(x, p, math.sqrt(p * p - 1.0), l)
             lhs = 1.0 / (et * k * d)
             rhs = 2.0 * l / (et * d) * p / (x * math.sqrt(p * p - 1.0))
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_positive_where_p_squared_minus_one_rounds_to_zero(self):
+        # cosh(1e-20) is 1.0 in double precision; the exact q keeps k > 0
+        p, q = math.cosh(1e-20), math.sinh(1e-20)
+        assert p * p - 1.0 == 0.0
+        assert momentum_from_xp(1.0, p, q, 1000.0) > 0.0
+
+    def test_array_matches_scalar_calls(self):
+        x = np.array([0.5, 2.0, 30.0])[:, None]
+        u = np.array([1e-3, 0.5, 3.0])
+        k = momentum_from_xp(x, np.cosh(u), np.sinh(u), 700.0)
+        assert k.shape == (3, 3)
+        for i, xi in enumerate(x[:, 0]):
+            for j, uj in enumerate(u):
+                scalar = momentum_from_xp(xi, math.cosh(uj), math.sinh(uj), 700.0)
+                assert k[i, j] == pytest.approx(scalar, rel=1e-15)
 
 
 class TestIsotropicPlasmaFrequency:
@@ -154,6 +171,51 @@ class TestIsotropicPlasmaFrequency:
             for d in thicknesses
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+
+MODELS = pytest.mark.parametrize(
+    "fn, slab_fixture",
+    [(plasma_freq_isotropic, "film_slab"), (plasma_freq_nanotube, "tube_array")],
+)
+
+
+class TestVectorisedPlasmaFrequencies:
+    GRID = np.array([[0.0, 1e-6, 1e-3], [0.05, 1.0, 1e3]])
+
+    @MODELS
+    def test_array_matches_scalar_calls(self, fn, slab_fixture, request):
+        slab = request.getfixturevalue(slab_fixture)
+        values = fn(self.GRID, slab)
+        assert values.shape == self.GRID.shape
+        assert values[0, 0] == 0.0  # k = 0 inside an array
+        for k, value in zip(self.GRID.ravel(), values.ravel()):
+            assert value == pytest.approx(fn(float(k), slab), rel=1e-15)
+
+    @MODELS
+    def test_negative_entry_rejected(self, fn, slab_fixture, request):
+        with pytest.raises(ValueError):
+            fn(np.array([0.0, 0.1, -1e-9]), request.getfixturevalue(slab_fixture))
+
+
+class TestFresnelPair:
+    def test_array_matches_scalar_calls(self):
+        eps = np.array([1.0, 1.5, 409.0, 1e8])[:, None]
+        p = np.array([1.0, 2.0, 1e4])
+        r_s, r_p = fresnel_coeffs(eps, p)
+        assert r_s.shape == r_p.shape == (4, 3)
+        for i, e in enumerate(eps[:, 0]):
+            for j, pj in enumerate(p):
+                s, rp = fresnel_coeffs(float(e), float(pj))
+                assert r_s[i, j] == pytest.approx(s, rel=1e-15)
+                assert r_p[i, j] == pytest.approx(rp, rel=1e-15)
+
+    def test_against_textbook_form(self):
+        # (s-p)/(s+p) and (s - eps p)/(s + eps p) where no cancellation bites
+        for eps, p in [(9.0, 1.0), (2.5, 1.7), (409.0, 3.0)]:
+            s = math.sqrt(eps - 1.0 + p * p)
+            r_s, r_p = fresnel_coeffs(eps, p)
+            assert r_s == pytest.approx((s - p) / (s + p), rel=1e-13)
+            assert r_p == pytest.approx((s - eps * p) / (s + eps * p), rel=1e-13)
 
 
 class TestNanotubePlasmaFrequency:

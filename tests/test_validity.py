@@ -11,6 +11,7 @@ from casimir_slabs import (
     plasma_skin_depth_nm,
 )
 from casimir_slabs.constants import C_NM_PER_S
+from casimir_slabs.validity import _P_GRID, _X_GRID
 
 OMEGA_P = 2.0e16
 DRUDE = local_drude_fn(OMEGA_P, 9.0)
@@ -109,6 +110,38 @@ class TestFilmCoefficients:
 
 
 class TestApplicabilityReport:
+    @pytest.mark.parametrize("d, l", [(2.0, 1000.0), (10.0, 100.0), (200.0, 5000.0)])
+    def test_matches_scalar_loop_over_the_grid(self, d, l):
+        # the report's one array evaluation against a point-by-point scan
+        worst_s = worst_p = 0.0
+        for x in _X_GRID:
+            for p in _P_GRID:
+                r_s, r_p = halfspace_reflection_coeffs(x, p, l, DRUDE)
+                f_s, f_p = film_reflection_coeffs(x, p, l, d, DRUDE)
+                worst_s = max(worst_s, abs(f_s - r_s) / abs(r_s))
+                worst_p = max(worst_p, abs(f_p - r_p) / abs(r_p))
+        report = applicability_report(film(d), l)
+        assert report.max_rel_deviation_s == pytest.approx(worst_s, rel=1e-14)
+        assert report.max_rel_deviation_p == pytest.approx(worst_p, rel=1e-14)
+
+    @pytest.mark.parametrize("d, deviation", [(10.0, 0.18518), (20.0, 0.04310)])
+    def test_worst_s_deviation_is_the_round_trip_closed_form(self, d, deviation):
+        # Why acceptance 09 fails at l = 100 nm: at the grid point (4, 10)
+        # R_s/r_s - 1 = -E(1 - r^2)/(1 - r^2 E), with r and E written out
+        # here, dominates; it stays below e^(-2 d omega_p/c) but above 1%.
+        x, p, l = 4.0, 10.0, 100.0
+        xi = x * C_NM_PER_S / (2.0 * p * l)
+        eps = 9.0 + (OMEGA_P / xi) ** 2
+        s = math.sqrt(eps - 1.0 + p * p)
+        r = (s - p) / (s + p)
+        e = math.exp(-2.0 * d * xi * s / C_NM_PER_S)
+        closed_form = e * (1.0 - r * r) / (1.0 - r * r * e)
+        report = applicability_report(film(d), l)
+        assert report.max_rel_deviation_s == pytest.approx(closed_form, rel=1e-13)
+        assert report.max_rel_deviation_s == pytest.approx(deviation, abs=1e-5)
+        assert 0.01 < closed_form < math.exp(-2.0 * d * OMEGA_P / C_NM_PER_S)
+        assert report.d_ok and not report.verdict
+
     def test_twenty_nm_film_at_micron(self):
         report = applicability_report(film(20.0), 1000.0)
         assert report.d_ok and report.l_ok
