@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import C_NM_PER_S, PI4
 from .lifshitz import (
@@ -237,6 +236,8 @@ def crossover_thickness(
     evaluation).  Each thickness is probed once.  If brentq does not
     converge, ``crossover_d`` is None; a failed probe raises QuadratureError.
     """
+    from scipy.optimize import brentq  # imported here: only this search needs it
+
     d_lo, d_hi = d_range
     if not d_lo < d_hi:
         raise ValueError(f"need d_lo < d_hi, got ({d_lo}, {d_hi})")

@@ -47,6 +47,10 @@ Validity = Literal["valid", "correction_dominant", "quadrature_failed"]
 # terms into F/F_C; both channels perfect gives exactly 1.
 RATIO_NORM = 15.0 / (2.0 * PI4)
 
+# The settings the thin-limit coefficient uses unless a spec is given;
+# built once, as thin_limit_ratio reads it on every call.
+_DEFAULT_SPEC = QuadratureSpec()
+
 
 @dataclass(frozen=True)
 class ForceResult:
@@ -207,7 +211,7 @@ def _thin_limit_parts(spec: QuadratureSpec) -> tuple[float, float]:
 def thin_limit_coefficient(spec: QuadratureSpec | None = None) -> float:
     """Numeric prefactor (~4.79) of the c/(omega_p sqrt(eps~ d l))
     correction, computed once per quadrature spec and cached."""
-    return _thin_limit_parts(spec or QuadratureSpec())[0]
+    return _thin_limit_parts(spec or _DEFAULT_SPEC)[0]
 
 
 def thin_limit_ratio(slab: IsotropicSlab, l: float) -> ForceResult:
@@ -218,7 +222,7 @@ def thin_limit_ratio(slab: IsotropicSlab, l: float) -> ForceResult:
     the ideal-conductor limit even at large separation.
     """
     f_c = casimir_pressure(l)
-    coeff, coeff_err = _thin_limit_parts(QuadratureSpec())
+    coeff, coeff_err = _thin_limit_parts(_DEFAULT_SPEC)
     denominator = slab.omega_p3d * math.sqrt(eps_tilde(slab) * slab.thickness_d * l)
     scale = _over(C_NM_PER_S, denominator)
     corr = coeff * scale

@@ -13,8 +13,10 @@ nodes.  The error estimate is |I_h - I_h/2| (Bailey, Jeyabalan & Li,
 Exp. Math. 14 (2005) 317) plus bounds on the x tail beyond x_max, the p
 tail beyond the window and below its first node, and a roundoff floor
 of a few eps sum |w f|.  A tolerance below that floor is reported as not
-converged, never clamped.  Kernels only ever see fresh arrays, never the
-cached node sets, so every entry point may be used from several threads.
+converged, never clamped.  Each call allocates one buffer sized for its
+deepest level and fills its leading block level by level, with no copy
+between levels.  Kernels only ever see fresh arrays, never the cached
+node sets, so every entry point may be used from several threads.
 """
 
 from __future__ import annotations
@@ -150,6 +152,15 @@ def _block(f: Callable, x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarr
 _UNIT_X = ((np.zeros(1), np.ones(1)), (np.empty(0), np.empty(0)))
 
 
+@lru_cache(maxsize=None)
+def _deepest_grid(x_max: float, transform: str, with_x: bool) -> tuple[int, int]:
+    """(x, p) node counts of the grid at the last level."""
+    levels = range(_MAX_LEVEL + 1)
+    nx = sum(_tanh_sinh(x_max, _X_STEP, level)[0].size for level in levels)
+    npp = sum(_p_nodes(transform, level)[0].size for level in levels)
+    return (nx if with_x else 1), npp
+
+
 def integrate_p_axis(
     f: Callable,
     singularity_order: float = 0.0,
@@ -175,31 +186,36 @@ def integrate_p_axis(
     # Level-0 nodes come first, so the window's last nodes keep their index.
     last_p = _p_nodes(spec.p_transform, 0)[0].size - 1
     last_x = _tanh_sinh(spec.x_max, _X_STEP, 0)[0].size - 1
+    # One buffer sized for the deepest level: level L fills the leading
+    # [:nx, :np] block of `values`, where the earlier levels' entries
+    # already sit, and writes its magnitudes contiguously into the rest.
+    # Separate per-level arrays let glibc trim and regrow the heap on
+    # every call, and a strided magnitude block is slow to sum.
+    shape = _deepest_grid(spec.x_max, spec.p_transform, with_x)
+    values, magnitudes = np.empty((2, shape[0] * shape[1]))
+    values = values.reshape(shape)
     x = dx = p = q = dp = np.empty(0)
-    grid = np.empty((0, 0))
     previous, evaluations = None, 0
     for level in range(_MAX_LEVEL + 1):
         x_new, dx_new = (
             _tanh_sinh(spec.x_max, _X_STEP, level) if with_x else _UNIT_X[level > 0]
         )
         p_new, q_new, dp_new = _p_nodes(spec.p_transform, level)[:3]
-        nx, npp = grid.shape
+        nx, npp = x.size, p.size
         x, dx = np.concatenate((x, x_new)), np.concatenate((dx, dx_new))
         p, q = np.concatenate((p, p_new)), np.concatenate((q, q_new))
         dp = np.concatenate((dp, dp_new))
-        new = np.empty((x.size, p.size))
-        new[:nx, :npp] = grid
-        new[:, npp:] = _block(kernel, x, p[npp:], q[npp:])
+        grid = values[: x.size, : p.size]
+        grid[:, npp:] = _block(kernel, x, p[npp:], q[npp:])
         if x.size > nx:
-            new[nx:, :npp] = _block(kernel, x[nx:], p[:npp], q[:npp])
-        evaluations += new.size - grid.size
-        grid = new
+            grid[nx:, :npp] = _block(kernel, x[nx:], p[:npp], q[:npp])
+        evaluations += grid.size - nx * npp
         wx = dx * (_X_STEP / 2 ** level if with_x else 1.0)
         wp = dp * (p_step / 2 ** level)
         value = float(wx @ grid @ wp)
         if not math.isfinite(value):
             return IntegralResult(value, math.inf, False, evaluations)
-        magnitude = np.abs(grid)
+        magnitude = np.abs(grid, out=magnitudes[: grid.size].reshape(grid.shape))
         floor = _ROUNDOFF * float(wx @ magnitude @ wp)
         tails = float(wx @ (beyond * magnitude[:, last_p] + below * magnitude[:, 0]))
         if with_x:

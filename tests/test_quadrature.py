@@ -1,7 +1,9 @@
+import json
 import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +14,9 @@ from casimir_slabs import QuadratureSpec, bose_integral, integrate_p_axis, integ
 
 PI4_OVER_15 = math.pi ** 4 / 15.0
 
-# Frozen with mpmath tanh-sinh quadrature (30 digits):
-# int_1^inf (p^2+1)/(p^(7/2) (p^2-1)^(1/4)) dp
-P_SINGULAR = 1.6773963286298124
+# int_1^inf (p^2+1)/(p^(7/2) (p^2-1)^(1/4)) dp = (B(1/2,3/4) + B(3/2,3/4))/2,
+# by t = 1/p^2: 1.6773963286298290904 from mpmath at 40 digits.
+P_SINGULAR = 1.677396328629829
 
 
 def bose_weight(s):
@@ -108,6 +110,15 @@ class TestPAxis:
         assert res.converged
         assert res.value == pytest.approx(P_SINGULAR, rel=1e-8)
 
+    def test_quarter_power_singularity_within_its_error_of_beta_form(self, spec):
+        res = integrate_p_axis(
+            lambda p, q: (p * p + 1.0) / (p ** 3.5 * np.sqrt(q)), 0.25, spec
+        )
+        beta = lambda a, b: math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+        exact = 0.5 * (beta(0.5, 0.75) + beta(1.5, 0.75))
+        assert exact == pytest.approx(P_SINGULAR, rel=1e-15)
+        assert abs(res.value - exact) <= res.error_estimate
+
     def test_singular_integral_feeds_thin_coefficient(self, spec):
         res = integrate_p_axis(
             lambda p, q: (p * p + 1.0) / (p ** 3.5 * np.sqrt(q)), 0.25, spec
@@ -185,14 +196,60 @@ class TestDoubleIntegral:
         second = integrate_xp(f, spec)
         assert first == second
 
+    def test_concurrent_calls_match_the_serial_ones(self, spec):
+        # Each call fills its own grid buffer.  Kernels that differ by a
+        # scale factor make a shared buffer visible (one kernel alone would
+        # write the same value to each entry); a short switch interval
+        # interleaves the threads.
+        def kernel(scale):
+            def f(x, p, q):
+                bose = x ** 3.5 * np.exp(-x) / np.expm1(-x) ** 2
+                return scale * bose * (p * p + 1.0) / (p ** 3.5 * np.sqrt(q))
+            return f
 
-def test_package_does_not_load_scipy_integrate():
-    # QUADPACK is a test oracle only (tests/oracle.py); importing the
-    # package in a fresh interpreter must not pay for scipy.integrate.
+        kernels = [kernel(scale) for scale in (1.0, 2.0, 3.0, 5.0)] * 6
+        serial = [integrate_xp(f, spec, 0.25) for f in kernels]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(integrate_xp, f, spec, 0.25) for f in kernels]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == serial
+
+
+# Prints which of the heavy scipy subpackages a fresh interpreter loaded
+# after importing the package and running the given statements.
+SCIPY_PROBE = """
+import json, sys
+import casimir_slabs
+from casimir_slabs import cli
+{}
+heavy = ("scipy.integrate", "scipy.optimize", "scipy.special")
+print(json.dumps([name for name in heavy if name in sys.modules]))
+"""
+
+
+def scipy_loaded_by(statements: str) -> list[str]:
     src = Path(casimir_slabs.__file__).resolve().parents[1]
-    probe = "import sys, casimir_slabs; print('scipy.integrate' in sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        [sys.executable, "-c", SCIPY_PROBE.format(statements)],
+        capture_output=True, text=True, check=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert done.stdout.strip() == "False"
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_package_does_not_load_scipy_integrate():
+    # QUADPACK is a test oracle only (tests/oracle.py); scipy.special
+    # serves only the nanotube kernels and scipy.optimize the crossover
+    # search, so importing the package, the thin-limit coefficient and an
+    # iso-nonlocal point load none of the three.
+    iso = 'cli.main(["iso-nonlocal", "--d-nm", "10", "--l-nm", "1000"])'
+    assert scipy_loaded_by("casimir_slabs.thin_limit_coefficient()") == []
+    assert scipy_loaded_by(iso) == []
+    # The probe does see a load: a nanotube kernel needs scipy.special.
+    aniso = 'cli.main(["aniso", "--layers", "5", "--radius-nm", "2", "--l-nm", "1000"])'
+    assert scipy_loaded_by(aniso) == ["scipy.special"]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -90,3 +91,12 @@ class TestBoseIntegral:
     def test_domain_error(self, s):
         with pytest.raises(ValueError):
             bose_integral(s)
+
+    def test_against_mpmath_at_40_digits(self):
+        # s - 1 log-spaced over [1e-3, 59], plus s = 3.5 and 4, which the
+        # thin-film law and the local-metal check use
+        grid = [1.0 + t for t in np.geomspace(1.0e-3, 59.0, 60)] + [3.5, 4.0]
+        with mpmath.workdps(40):
+            for s in grid:
+                exact = mpmath.gamma(s + 1.0) * mpmath.zeta(s)
+                assert abs(bose_integral(s) - exact) <= 1.0e-15 * exact, s
