@@ -10,90 +10,17 @@ the half-space force formula.
 
 __version__ = "0.1.0"
 
-from .quadrature import (  # noqa: E402
-    IntegralResult,
-    QuadratureError,
-    QuadratureSpec,
-    integrate_p_axis,
-    integrate_xp,
-)
-from .special import bessel_i0k0_product, bose_integral  # noqa: E402
-from .response import (  # noqa: E402
-    IsotropicSlab,
-    NanotubeArraySlab,
-    drude_eps_imaginary_axis,
-    eps_tilde,
-    local_drude_fn,
-    momentum_from_xp,
-    plasma_freq_isotropic,
-    plasma_freq_nanotube,
-)
-from .lifshitz import (  # noqa: E402
-    ForceResult,
-    casimir_pressure,
-    lifshitz_force_local,
-    lifshitz_pressure_general,
-    nonlocal_isotropic_ratio,
-    thin_limit_coefficient,
-    thin_limit_ratio,
-)
-from .anisotropic import (  # noqa: E402
-    CrossoverResult,
-    OrientationForces,
-    crossover_thickness,
-    f_parallel_ratio,
-    f_perp_ratio,
-    main_term_parallel,
-    main_term_perp,
-    orientation_forces,
-    phi,
-    psi,
-)
-from .validity import (  # noqa: E402
-    ApplicabilityReport,
-    applicability_report,
-    film_reflection_coeffs,
-    halfspace_reflection_coeffs,
-    plasma_skin_depth_nm,
+from .quadrature import *  # noqa: E402,F403
+from .special import *  # noqa: E402,F403
+from .response import *  # noqa: E402,F403
+from .lifshitz import *  # noqa: E402,F403
+from .anisotropic import *  # noqa: E402,F403
+from .validity import *  # noqa: E402,F403
+from . import (  # noqa: E402
+    anisotropic, lifshitz, quadrature, response, special, validity,
 )
 
-__all__ = [
-    "__version__",
-    "QuadratureSpec",
-    "QuadratureError",
-    "IntegralResult",
-    "integrate_p_axis",
-    "integrate_xp",
-    "bessel_i0k0_product",
-    "bose_integral",
-    "IsotropicSlab",
-    "NanotubeArraySlab",
-    "eps_tilde",
-    "momentum_from_xp",
-    "plasma_freq_isotropic",
-    "plasma_freq_nanotube",
-    "drude_eps_imaginary_axis",
-    "local_drude_fn",
-    "ForceResult",
-    "casimir_pressure",
-    "lifshitz_pressure_general",
-    "lifshitz_force_local",
-    "nonlocal_isotropic_ratio",
-    "thin_limit_ratio",
-    "thin_limit_coefficient",
-    "phi",
-    "psi",
-    "main_term_parallel",
-    "main_term_perp",
-    "f_parallel_ratio",
-    "f_perp_ratio",
-    "OrientationForces",
-    "orientation_forces",
-    "CrossoverResult",
-    "crossover_thickness",
-    "halfspace_reflection_coeffs",
-    "film_reflection_coeffs",
-    "ApplicabilityReport",
-    "applicability_report",
-    "plasma_skin_depth_nm",
-]
+__all__ = ["__version__"]
+for _module in (quadrature, special, response, lifshitz, anisotropic, validity):
+    __all__ += _module.__all__
+del _module

@@ -18,8 +18,9 @@ import math
 import sys
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from . import __version__
-from .anisotropic import orientation_forces
 from .quadrature import QuadratureError, QuadratureSpec
 from .sweep import (
     PRESETS,
@@ -27,7 +28,6 @@ from .sweep import (
     SweepAxis,
     SweepRequest,
     UsageError,
-    array_slab,
     evaluate_quantity,
     format_value,
     run_preset,
@@ -235,10 +235,13 @@ def _resolve(
 def run_point(quantity: str, params: dict, spec: QuadratureSpec) -> int:
     """Evaluate one configuration, print text plus a machine-readable line.
 
-    Returns 3 on a failed quadrature, 1 for a crossover search without a
-    sign change, else 0.
+    The configuration is a grid of one point, evaluated as a sweep's grid
+    is; its outputs are read back as plain Python values.  Returns 3 on a
+    failed quadrature, 1 for a crossover search without a sign change,
+    else 0.
     """
-    outputs = evaluate_quantity(quantity, params, spec)
+    values = evaluate_quantity(quantity, params, spec)
+    outputs = {key: np.asarray(value).tolist() for key, value in values.items()}
     for key, value in outputs.items():
         print(f"{key}: {format_value(value)}")
     record = {
@@ -253,24 +256,22 @@ def run_point(quantity: str, params: dict, spec: QuadratureSpec) -> int:
 
 
 def _crossover_with_curve(path: str, n: int, params: dict, spec: QuadratureSpec) -> int:
-    """The search, then both orientation forces at n evenly spaced
+    """The search, then both orientation forces over n evenly spaced
     thicknesses of the bracket, all inside write_outputs: a path that
     cannot be written fails first."""
     step = (params["d_max"] - params["d_min"]) / max(n - 1, 1)
     codes = []
 
-    def rows():
+    def columns():
         codes.append(run_point("crossover", params, spec))
-        for i in range(n):
-            d = params["d_min"] + i * step
-            slab = array_slab({**params, "d": d}, "crossover")
-            forces = orientation_forces(slab, params["l"], spec)
-            par, perp = forces.f_parallel, forces.f_perp
-            yield [d, par.ratio_to_casimir, perp.ratio_to_casimir, forces.anisotropy]
+        grid = {**params, "d": np.array([params["d_min"] + i * step for i in range(n)])}
+        par, perp = (evaluate_quantity(q, grid, spec)["ratio_to_casimir"]
+                     for q in ("aniso_parallel", "aniso_perp"))
+        yield from (grid["d"], par, perp, np.subtract(par, perp))
 
     request = SweepRequest("crossover", {**params, "curve_points": n}, (), path)
     write_outputs(
-        request, spec, ["d_nm", "ratio_parallel", "ratio_perp", "anisotropy"], rows()
+        request, spec, ["d_nm", "ratio_parallel", "ratio_perp", "anisotropy"], columns()
     )
     print(f"anisotropy curve written to {path}")
     return codes[0]

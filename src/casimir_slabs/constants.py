@@ -12,6 +12,4 @@ C_NM_PER_S = 2.99792458e17          # speed of light, nm/s
 HBAR_J_S = 1.054571817e-34          # reduced Planck constant, J s (CODATA 2018)
 HBAR_C_J_M = HBAR_J_S * C_M_PER_S   # ~3.16153e-26 J m
 
-NM_PER_M = 1.0e9
-
 PI4 = math.pi ** 4

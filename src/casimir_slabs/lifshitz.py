@@ -28,10 +28,10 @@ from .quadrature import (
     integrate_xp,
 )
 from .response import IsotropicSlab, _film_factor, eps_tilde, momentum_from_xp
+from .response import _plain, _require
 from .special import bose_integral
 
 __all__ = [
-    "Validity",
     "ForceResult",
     "casimir_pressure",
     "lifshitz_pressure_general",
@@ -60,7 +60,8 @@ class ForceResult:
 
     ``correction_dominant`` marks points where the first-order material
     correction exceeds half the leading term, i.e. where the expansion
-    is no longer a legitimate correction.
+    is no longer a legitimate correction.  The closed forms take numbers
+    or arrays; given arrays, each field is an array over the same grid.
     """
 
     ratio_to_casimir: float
@@ -69,39 +70,41 @@ class ForceResult:
     validity: Validity
 
 
-def _force_result(ratio: float, f_c: float, err: float, flag: Validity) -> ForceResult:
+def _force_result(ratio, f_c, err, flag) -> ForceResult:
     pressure = ratio * f_c
-    if not (math.isfinite(pressure) and math.isfinite(err)):
+    if not (np.isfinite(pressure) & np.isfinite(err)).all():
         raise ValueError("the material correction gives no finite pressure")
-    return ForceResult(ratio, pressure, err, flag)
+    return ForceResult(*map(_plain, (ratio, pressure, err, flag)))
 
 
-def _over(numerator: float, denominator: float) -> float:
-    """numerator / denominator, inf where the denominator underflows to 0."""
-    return numerator / denominator if denominator > 0.0 else math.inf
+def _over(numerator, denominator):
+    """numerator / denominator (>= 0) of numbers or arrays, inf where the
+    quotient overflows or the denominator underflows to 0."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.divide(numerator, denominator)
 
 
-def _flag(converged: bool, correction: float, leading: float = 1.0) -> Validity:
-    if not converged:
-        return "quadrature_failed"
-    if correction > 0.5 * leading:
-        return "correction_dominant"
-    return "valid"
+def _flag(converged: bool, correction, leading=1.0):
+    flag = np.where(correction > 0.5 * leading, "correction_dominant", "valid")[()]
+    return flag if converged else "quadrature_failed"
 
 
-def casimir_pressure(l: float) -> float:
-    """Ideal-conductor attraction hbar c pi^2 / (240 l^4) in Pa, l in nm.
+def casimir_pressure(l):
+    """Ideal-conductor attraction hbar c pi^2 / (240 l^4) in Pa, l in nm,
+    for a number or an array of l.
 
     Every evaluator calls it first, as its separation check: NaN, inf,
     l <= 0 and a pressure that under- or overflows raise ValueError."""
-    l_m = l * 1.0e-9
-    try:
-        pressure = HBAR_C_J_M * math.pi ** 2 / (240.0 * l_m ** 4)
-    except (ZeroDivisionError, OverflowError):
-        pressure = math.nan
-    if not (l > 0.0 and 0.0 < pressure < math.inf):
-        raise ValueError(f"separation must be > 0 with a finite pressure, got {l} nm")
-    return pressure
+    l_m = np.asarray(l, dtype=float) * 1.0e-9
+    # float_power, not **: numpy's ** of an array is an ulp off C pow at
+    # some l, where a sweep row would then differ from the point command.
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        pressure = HBAR_C_J_M * math.pi ** 2 / (240.0 * np.float_power(l_m, 4))
+    _require(
+        (l_m > 0.0) & (0.0 < pressure) & (pressure < math.inf),
+        "separation must be > 0 with a finite pressure, got {} nm", l,
+    )
+    return _plain(pressure)
 
 
 def lifshitz_pressure_general(
@@ -151,17 +154,18 @@ def lifshitz_pressure_general(
     return _force_result(ratio, f_c, err, validity)
 
 
-def lifshitz_force_local(omega_p: float, l: float) -> ForceResult:
-    """Closed-form large-separation force for identical local-Drude metals.
+def lifshitz_force_local(omega_p, l) -> ForceResult:
+    """Closed-form large-separation force for identical local-Drude metals,
+    for numbers or arrays of omega_p and l.
 
     F/F_C = 1 - 16 c/(3 omega_p l); the correction scales as 1/l and the
     result is exact within the first-order expansion, so the error
     estimate is zero.
     """
-    if omega_p <= 0.0:
-        raise ValueError(f"omega_p must be > 0, got {omega_p}")
+    _require(np.greater(omega_p, 0.0), "omega_p must be > 0, got {}", omega_p)
     f_c = casimir_pressure(l)
-    corr = _over(16.0 * C_NM_PER_S, 3.0 * omega_p * l)
+    with np.errstate(over="ignore"):  # an infinite omega_p l gives no correction
+        corr = _over(16.0 * C_NM_PER_S, 3.0 * omega_p * l)
     return _force_result(1.0 - corr, f_c, 0.0, _flag(True, corr))
 
 
@@ -214,8 +218,9 @@ def thin_limit_coefficient(spec: QuadratureSpec | None = None) -> float:
     return _thin_limit_parts(spec or _DEFAULT_SPEC)[0]
 
 
-def thin_limit_ratio(slab: IsotropicSlab, l: float) -> ForceResult:
-    """Small-thickness closed form: F/F_C = 1 - C c/(omega_p sqrt(eps~ d l)).
+def thin_limit_ratio(slab: IsotropicSlab, l) -> ForceResult:
+    """Small-thickness closed form: F/F_C = 1 - C c/(omega_p sqrt(eps~ d l)),
+    for a number or an array of l and a slab of numbers or arrays.
 
     The material correction decays only as 1/sqrt(l), in contrast with
     the 1/l of the local-metal force: thinner slabs stay farther from
@@ -223,7 +228,8 @@ def thin_limit_ratio(slab: IsotropicSlab, l: float) -> ForceResult:
     """
     f_c = casimir_pressure(l)
     coeff, coeff_err = _thin_limit_parts(_DEFAULT_SPEC)
-    denominator = slab.omega_p3d * math.sqrt(eps_tilde(slab) * slab.thickness_d * l)
-    scale = _over(C_NM_PER_S, denominator)
+    with np.errstate(over="ignore"):  # an infinite denominator gives no correction
+        denominator = slab.omega_p3d * np.sqrt(eps_tilde(slab) * slab.thickness_d * l)
+        scale = _over(C_NM_PER_S, denominator)
     corr = coeff * scale
     return _force_result(1.0 - corr, f_c, coeff_err * scale, _flag(True, corr))

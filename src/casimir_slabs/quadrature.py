@@ -30,7 +30,6 @@ from typing import Callable, Literal
 import numpy as np
 
 __all__ = [
-    "PTransform",
     "QuadratureError",
     "QuadratureSpec",
     "IntegralResult",

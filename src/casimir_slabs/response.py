@@ -27,10 +27,38 @@ __all__ = [
     "momentum_from_xp",
     "plasma_freq_isotropic",
     "plasma_freq_nanotube",
-    "fresnel_coeffs",
     "drude_eps_imaginary_axis",
     "local_drude_fn",
 ]
+
+
+def _require(ok, message: str, *values) -> None:
+    """ValueError unless the comparison ``ok`` of numbers or arrays holds
+    everywhere (NaN compares false, so it fails), naming ``values`` where
+    it first fails."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        first = (np.broadcast_to(v, ok.shape).flat[np.argmin(ok)] for v in values)
+        raise ValueError(message.format(*first))
+
+
+def _plain(value):
+    """A numpy scalar as a Python float, bool or str; anything else as it is."""
+    return value.tolist() if isinstance(value, np.generic) else value
+
+
+def _require_media(slab, *positive: str) -> None:
+    """The checks both slab types make: the named fields in (0, inf),
+    eps_b in [1, inf), the surrounding permittivities in (0, inf)."""
+    for name in positive:
+        value = getattr(slab, name)
+        ok = (0.0 < value) & (value < math.inf)
+        _require(ok, name + " must be in (0, inf), got {}", value)
+    eps_b, sub, sup = slab.eps_b, slab.eps_sub, slab.eps_sup
+    ok = (1.0 <= eps_b) & (eps_b < math.inf)
+    _require(ok, "eps_b must be in [1, inf), got {}", eps_b)
+    ok = (0.0 < sub) & (sub < math.inf) & (0.0 < sup) & (sup < math.inf)
+    _require(ok, "environment permittivities must be in (0, inf)")
 
 
 @dataclass(frozen=True)
@@ -40,7 +68,8 @@ class IsotropicSlab:
     The surroundings must screen less than the film itself
     (eps_sub + eps_sup < eps_b), which is the regime where the vertical
     confinement reshapes the carrier interaction and the in-plane plasma
-    frequency becomes momentum dependent.
+    frequency becomes momentum dependent.  Fields may be arrays of one
+    grid shape, checked at once.
     """
 
     omega_p3d: float          # bulk plasma angular frequency, 1/s
@@ -50,20 +79,13 @@ class IsotropicSlab:
     eps_sup: float = 1.0      # superstrate static permittivity
 
     def __post_init__(self) -> None:
-        # Written so that NaN fails every check.
-        if not 0.0 < self.omega_p3d < math.inf:
-            raise ValueError(f"omega_p3d must be in (0, inf), got {self.omega_p3d}")
-        if not 0.0 < self.thickness_d < math.inf:
-            raise ValueError(f"thickness_d must be in (0, inf), got {self.thickness_d}")
-        if not 1.0 <= self.eps_b < math.inf:
-            raise ValueError(f"eps_b must be in [1, inf), got {self.eps_b}")
-        if not (0.0 < self.eps_sub < math.inf and 0.0 < self.eps_sup < math.inf):
-            raise ValueError("environment permittivities must be in (0, inf)")
-        if self.eps_sub + self.eps_sup >= self.eps_b:
-            raise ValueError(
-                "confined-film regime requires eps_sub + eps_sup < eps_b, got "
-                f"{self.eps_sub} + {self.eps_sup} vs eps_b = {self.eps_b}"
-            )
+        _require_media(self, "omega_p3d", "thickness_d")
+        _require(
+            self.eps_sub + self.eps_sup < self.eps_b,
+            "confined-film regime requires eps_sub + eps_sup < eps_b, got "
+            "{} + {} vs eps_b = {}",
+            self.eps_sub, self.eps_sup, self.eps_b,
+        )
 
 
 @dataclass(frozen=True)
@@ -71,6 +93,7 @@ class NanotubeArraySlab:
     """Slab made of parallel aligned metallic nanotubes in a dielectric layer.
 
     ``period_Delta=None`` selects dense packing (period = tube diameter).
+    Fields may be arrays of one grid shape, as for ``IsotropicSlab``.
     """
 
     omega_p3d: float            # bulk plasma angular frequency, 1/s
@@ -82,27 +105,22 @@ class NanotubeArraySlab:
     eps_sup: float = 1.0
 
     def __post_init__(self) -> None:
-        # Written so that NaN fails every check.
-        if not 0.0 < self.omega_p3d < math.inf:
-            raise ValueError(f"omega_p3d must be in (0, inf), got {self.omega_p3d}")
-        if not 0.0 < self.radius_R < math.inf:
-            raise ValueError(f"radius_R must be in (0, inf), got {self.radius_R}")
+        _require_media(self, "omega_p3d", "radius_R")
         if self.period_Delta is None:
             object.__setattr__(self, "period_Delta", 2.0 * self.radius_R)
-        if not 2.0 * self.radius_R <= self.period_Delta < math.inf:
-            raise ValueError(
-                f"period_Delta = {self.period_Delta} nm is not a finite period "
-                f"clear of tubes of radius {self.radius_R} nm"
-            )
-        if not 2.0 * self.radius_R <= self.thickness_d < math.inf:
-            raise ValueError(
-                f"thickness_d = {self.thickness_d} nm is not finite or is below "
-                f"one monolayer (2R = {2.0 * self.radius_R} nm)"
-            )
-        if not 1.0 <= self.eps_b < math.inf:
-            raise ValueError(f"eps_b must be in [1, inf), got {self.eps_b}")
-        if not (0.0 < self.eps_sub < math.inf and 0.0 < self.eps_sup < math.inf):
-            raise ValueError("environment permittivities must be in (0, inf)")
+        diameter = 2.0 * self.radius_R
+        _require(
+            (diameter <= self.period_Delta) & (self.period_Delta < math.inf),
+            "period_Delta = {} nm is not a finite period clear of tubes of "
+            "radius {} nm",
+            self.period_Delta, self.radius_R,
+        )
+        _require(
+            (diameter <= self.thickness_d) & (self.thickness_d < math.inf),
+            "thickness_d = {} nm is not finite or is below one monolayer "
+            "(2R = {} nm)",
+            self.thickness_d, diameter,
+        )
 
 
 Slab = Union[IsotropicSlab, NanotubeArraySlab]

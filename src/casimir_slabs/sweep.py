@@ -5,6 +5,13 @@ Each quantity is described once, by a ``Quantity`` record in
 reads, the slab it builds, its evaluator and its output columns.  Point
 evaluation, sweep validation and the command line all read that table.
 
+A grid, the unit of evaluation, is held as columns: an array per swept
+parameter (the axes expanded in axis-major order), a number per fixed
+one.  It is checked once, with one slab of array fields, and each
+quantity is evaluated once per grid, into one array or list per output
+column: the closed forms as array expressions, the integrating
+quantities row by row.  A point is a grid of numbers, on the same path.
+
 A sweep names a quantity, fixes the remaining parameters, and walks up
 to two axes in deterministic axis-major order.  Every output file gets a
 sibling ``<name>.manifest.json`` recording the fixed parameters, the
@@ -107,14 +114,9 @@ class SweepAxis:
         """The parameter key the axis sets."""
         return "radius" if self.name == "R" else self.name
 
-    def grid(self) -> list[float]:
-        if self.points == 1:
-            return [float(self.start)]
-        if self.spacing == "log":
-            values = np.geomspace(self.start, self.stop, self.points)
-        else:
-            values = np.linspace(self.start, self.stop, self.points)
-        return [float(v) for v in values]
+    def grid(self) -> np.ndarray:
+        space = np.geomspace if self.spacing == "log" else np.linspace
+        return space(self.start, self.stop, self.points)  # both ends exact
 
 
 @dataclass(frozen=True)
@@ -139,10 +141,12 @@ class SweepRequest:
 class Quantity:
     """Everything the sweep, point and CLI code know about one quantity.
 
-    ``slab(params, name)`` builds and checks the evaluator's input without
-    any quadrature, so a whole grid is validated before the first point
-    is computed.  ``evaluate(params, slab, spec)`` returns a dict holding
-    at least ``columns``.
+    Both callables take a grid's ``params``, a number or an array over the
+    rows per parameter.  ``slab(params, name)`` builds and checks the
+    evaluator's input for the whole grid without any quadrature, so a grid
+    is validated before its first row is computed.  ``evaluate(params,
+    slab, spec)`` returns a dict holding at least ``columns``, each a
+    number (standing for every row), an array or a list.
     """
 
     requires: tuple[str, ...]
@@ -169,13 +173,9 @@ def _require(params: dict, keys: Sequence[str], quantity: str) -> None:
 
 
 def _surroundings(params: dict) -> dict:
-    # An absent permittivity means vacuum; an explicit 0 reaches the slab,
-    # which rejects it.
-    sub, sup = params.get("eps_sub"), params.get("eps_sup")
-    return {
-        "eps_sub": 1.0 if sub is None else sub,
-        "eps_sup": 1.0 if sup is None else sup,
-    }
+    # An absent permittivity means vacuum, the slab's default; an explicit
+    # 0 reaches the slab, which rejects it.
+    return {k: params[k] for k in _SURROUNDINGS if params.get(k) is not None}
 
 
 def _iso_slab(params: dict, quantity: str) -> IsotropicSlab:
@@ -195,7 +195,7 @@ def array_slab(params: dict, quantity: str) -> NanotubeArraySlab:
     if d is None:
         if layers is None:
             raise UsageError(f"{quantity} requires either d or layers")
-        d = int(round(layers)) * 2.0 * radius  # n monolayers of diameter 2R
+        d = np.rint(layers) * 2.0 * radius  # n monolayers of diameter 2R
     return NanotubeArraySlab(
         omega_p3d=params["omega_p"],
         radius_R=radius,
@@ -216,17 +216,37 @@ def _crossover_template(params: dict, quantity: str) -> NanotubeArraySlab:
 
 
 def _check_background(params: dict, quantity: str) -> None:
-    if params["eps_b"] <= 1.0:
+    if not np.all(np.greater(params["eps_b"], 1.0)):
         raise UsageError(f"{quantity} requires eps_b > 1")
 
 
-def _force_row(result: ForceResult) -> dict:
-    return {
-        "ratio_to_casimir": result.ratio_to_casimir,
-        "pressure_pa": result.pressure,
-        "error_estimate": result.error_estimate,
-        "validity": result.validity,
-    }
+def _rows(columns: dict, shape: tuple) -> list[dict]:
+    """The rows of a grid of ``shape`` as dicts of plain numbers; one for a point."""
+    lists = [np.broadcast_to(v, shape or (1,)).tolist() for v in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*lists)]
+
+
+def _each_row(evaluate: Callable[[dict, object, QuadratureSpec], dict]):
+    """The ``Quantity.evaluate`` of an integrating quantity: ``evaluate``
+    runs at each grid row, with that row's numbers and its own slab, and
+    its outputs are gathered into one list per column (plain values for a
+    point).  Row slabs repeat the grid's check, a cost the quadrature hides."""
+
+    def columns(params: dict, slab, spec: QuadratureSpec) -> dict:
+        shape = np.broadcast_shapes(*map(np.shape, params.values()))  # () or (n,)
+        slabs = itertools.repeat(None) if slab is None else (
+            type(slab)(**fields) for fields in _rows(vars(slab), shape))
+        rows = zip(_rows(params, shape), slabs)
+        outputs = [evaluate(row, row_slab, spec) for row, row_slab in rows]
+        if not shape:
+            return outputs[0]
+        return {name: [out[name] for out in outputs] for name in outputs[0]}
+
+    return columns
+
+
+def _force_columns(result: ForceResult) -> dict:
+    return dict(zip(FORCE_COLUMNS, vars(result).values()))  # fields in this order
 
 
 def _casimir(params: dict, slab: None, spec: QuadratureSpec) -> dict:
@@ -260,18 +280,15 @@ def _crossover(params: dict, template, spec: QuadratureSpec) -> dict:
     }
 
 
+_VALIDITY = ("max_rel_deviation_s", "max_rel_deviation_p", "d_ok", "l_ok", "verdict")
+
+
 def _validity(params: dict, slab: IsotropicSlab, spec: QuadratureSpec) -> dict:
     threshold = params.get("threshold")
     report = applicability_report(
         slab, params["l"], DEFAULT_THRESHOLD if threshold is None else threshold
     )
-    return {
-        "max_rel_deviation_s": report.max_rel_deviation_s,
-        "max_rel_deviation_p": report.max_rel_deviation_p,
-        "d_ok": report.d_ok,
-        "l_ok": report.l_ok,
-        "verdict": report.verdict,
-    }
+    return {name: getattr(report, name) for name in _VALIDITY}
 
 
 _FILM = ("l", "d", "eps_b", "omega_p")
@@ -282,40 +299,44 @@ QUANTITIES = {
     "casimir": Quantity(("l",), (), None, _casimir, integrates=False),
     "lifshitz_local": Quantity(
         ("l", "omega_p"), (), None,
-        lambda p, slab, spec: _force_row(lifshitz_force_local(p["omega_p"], p["l"])),
+        lambda p, slab, spec: _force_columns(
+            lifshitz_force_local(p["omega_p"], p["l"])),
         integrates=False,
     ),
     "iso_nonlocal": Quantity(
         _FILM, _SURROUNDINGS, _iso_slab,
-        lambda p, slab, spec: _force_row(nonlocal_isotropic_ratio(slab, p["l"], spec)),
+        _each_row(lambda p, slab, spec: _force_columns(
+            nonlocal_isotropic_ratio(slab, p["l"], spec))),
     ),
     "iso_thin": Quantity(
         _FILM, _SURROUNDINGS, _iso_slab,
-        lambda p, slab, spec: _force_row(thin_limit_ratio(slab, p["l"])),
+        lambda p, slab, spec: _force_columns(thin_limit_ratio(slab, p["l"])),
         integrates=False,
     ),
     "aniso_parallel": Quantity(
         _ARRAY, _ARRAY_OPTIONAL, array_slab,
-        lambda p, slab, spec: _force_row(f_parallel_ratio(slab, p["l"], spec)),
+        _each_row(lambda p, slab, spec: _force_columns(
+            f_parallel_ratio(slab, p["l"], spec))),
         array=True,
     ),
     "aniso_perp": Quantity(
         _ARRAY, _ARRAY_OPTIONAL, array_slab,
-        lambda p, slab, spec: _force_row(f_perp_ratio(slab, p["l"], spec)),
+        _each_row(lambda p, slab, spec: _force_columns(
+            f_perp_ratio(slab, p["l"], spec))),
         array=True,
     ),
     "main_terms": Quantity(
-        ("eps_b",), (), _check_background, _main_terms, MAIN_TERMS, array=True,
+        ("eps_b",), (), _check_background, _each_row(_main_terms), MAIN_TERMS,
+        array=True,
     ),
     "crossover": Quantity(
         ("l", "d_min", "d_max", "radius", "eps_b", "omega_p"),
-        ("delta", *_SURROUNDINGS), _crossover_template, _crossover,
+        ("delta", *_SURROUNDINGS), _crossover_template, _each_row(_crossover),
         ("crossover_d_nm", "crossover_d_error_nm", "sign_low", "sign_high",
          "iterations"), array=True,
     ),
     "validity": Quantity(
-        _FILM, (*_SURROUNDINGS, "threshold"), _iso_slab, _validity,
-        ("max_rel_deviation_s", "max_rel_deviation_p", "d_ok", "l_ok", "verdict"),
+        _FILM, (*_SURROUNDINGS, "threshold"), _iso_slab, _validity, _VALIDITY,
         integrates=False,
     ),
 }
@@ -329,17 +350,24 @@ def _record(quantity: str) -> Quantity:
     return QUANTITIES[quantity]
 
 
-def _prepare(quantity: str, params: dict) -> tuple[Quantity, object]:
-    """Check one point's parameters and build its slab; no quadrature."""
+def _check_grid(quantity: str, params: dict):
+    """Check a grid's parameters and build its slab for all rows at once."""
     record = _record(quantity)
     _require(params, record.requires, quantity)
-    return record, None if record.slab is None else record.slab(params, quantity)
+    return None if record.slab is None else record.slab(params, quantity)
 
 
-def evaluate_quantity(quantity: str, params: dict, spec: QuadratureSpec) -> dict:
-    """Compute one grid point; returns the output columns for that quantity."""
-    record, slab = _prepare(quantity, params)
-    return record.evaluate(params, slab, spec)
+_UNCHECKED = object()
+
+
+def evaluate_quantity(quantity: str, params: dict, spec: QuadratureSpec,
+                      slab=_UNCHECKED) -> dict:
+    """Compute a grid, ``params`` a number or an array over the rows per
+    parameter, into a number, array or list per output column.  ``slab``
+    is the grid's input from ``_check_grid``; without it, it is built here."""
+    if slab is _UNCHECKED:
+        slab = _check_grid(quantity, params)
+    return _record(quantity).evaluate(params, slab, spec)
 
 
 def format_value(value) -> str:
@@ -353,15 +381,25 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_table(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence],
+def _cells(column) -> list[str]:
+    """format_value over a whole column: floats and strings in one pass."""
+    values = np.asarray(column)
+    if values.dtype.kind == "U":
+        return values.tolist()
+    fmt = "{:.10g}".format if values.dtype.kind == "f" else format_value
+    return list(map(fmt, values.tolist()))
+
+
+def write_table(path: str | Path, names: Sequence[str], columns: Sequence,
                 fmt: str = "csv") -> None:
+    """Write equal-length columns (arrays or lists) as a CSV or JSON table."""
     path = Path(path)
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(format_value(v) for v in row) for row in rows)
+        lines = [",".join(names), *map(",".join, zip(*map(_cells, columns)))]
         path.write_text("\n".join(lines) + "\n")
     else:
-        payload = {"columns": list(columns), "rows": [list(row) for row in rows]}
+        values = [np.asarray(column).tolist() for column in columns]
+        payload = {"columns": list(names), "rows": [list(row) for row in zip(*values)]}
         path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -374,12 +412,12 @@ def write_manifest(output_path: str | Path, payload: dict) -> Path:
 def write_outputs(
     request: SweepRequest,
     spec: QuadratureSpec,
-    columns: Sequence[str],
-    rows: Iterable[Sequence],
+    names: Sequence[str],
+    columns: Iterable[Sequence],
 ) -> dict:
-    """Compute ``rows`` and write the table and its manifest atomically.
+    """Compute ``columns`` and write the table and its manifest atomically.
 
-    ``rows`` may be a generator.  It is consumed only once a temporary
+    ``columns`` may be a generator.  It is consumed only once a temporary
     file exists in the target directory, so a missing or unwritable
     directory fails before any point is computed.  Table and manifest
     are renamed into place only when both are complete; on any error the
@@ -395,8 +433,9 @@ def write_outputs(
         exc.filename = str(target)  # name the output, not its temporary file
         raise
     try:
-        rows = list(rows)
-        write_table(tmp, columns, rows, request.format)
+        columns = list(columns)
+        rows = len(columns[0])
+        write_table(tmp, names, columns, request.format)
         payload = {
             "tool": "casimir-slabs",
             "version": __version__,
@@ -407,8 +446,8 @@ def write_outputs(
             "axes": [asdict(ax) for ax in request.axes],
             "quadrature": asdict(spec),
             "format": request.format,
-            "columns": list(columns),
-            "rows": len(rows),
+            "columns": list(names),
+            "rows": rows,
             "output": target.name,
         }
         write_manifest(tmp, payload)
@@ -419,7 +458,7 @@ def write_outputs(
         tmp_manifest.unlink(missing_ok=True)
         raise
     return {
-        "rows": len(rows),
+        "rows": rows,
         "output": str(request.output_path),
         "manifest": str(manifest_target),
     }
@@ -428,25 +467,30 @@ def write_outputs(
 def _check_and_write(
     request: SweepRequest,
     spec: QuadratureSpec,
-    columns: Sequence[str],
+    names: Sequence[str],
     cells: Sequence[tuple[str, Sequence[str]]],
     leading: Sequence[Sequence],
-    param_sets: Sequence[dict],
+    params: dict,
 ) -> dict:
-    """``_prepare`` every point, then compute and write each row: its leading
-    values, then the named outputs of each quantity in ``cells``."""
-    for params in param_sets:
-        for quantity, _ in cells:
-            _prepare(quantity, params)
+    """Check the grid ``params`` for every quantity in ``cells``, then
+    compute and write the table: the ``leading`` columns, then the named
+    outputs of each quantity, evaluated once per grid."""
+    slabs = [_check_grid(quantity, params) for quantity, _ in cells]
+    rows = len(leading[0]) if leading else 1
 
-    def rows():
-        for row, params in zip(leading, param_sets):
-            for quantity, names in cells:
-                outputs = evaluate_quantity(quantity, params, spec)
-                row = list(row) + [outputs[c] for c in names]
-            yield row
+    def columns():
+        yield from leading
+        for (quantity, outputs), slab in zip(cells, slabs):
+            values = evaluate_quantity(quantity, params, spec, slab)
+            for name in outputs:
+                yield np.broadcast_to(np.asarray(values[name]), (rows,))
 
-    return write_outputs(request, spec, columns, rows())
+    return write_outputs(request, spec, names, columns())
+
+
+def _product(*grids: Sequence) -> list[np.ndarray]:
+    """The columns of the grids' Cartesian product, the first slowest."""
+    return [axis.ravel() for axis in np.meshgrid(*grids, indexing="ij")]
 
 
 def run_sweep(request: SweepRequest, spec: QuadratureSpec | None = None) -> dict:
@@ -467,44 +511,45 @@ def run_sweep(request: SweepRequest, spec: QuadratureSpec | None = None) -> dict
             raise UsageError(f"{key}: not read by {request.quantity}")
         if key in keys[:i]:
             raise UsageError(f"{key}: set by a sweep axis and another input")
-    combos = list(itertools.product(*(ax.grid() for ax in request.axes)))
-    param_sets = [{**fixed, **dict(zip(swept, combo))} for combo in combos]
-    columns = [AXIS_COLUMNS[ax.name] for ax in request.axes] + list(record.columns)
+    axes = _product(*(ax.grid() for ax in request.axes))
+    names = [AXIS_COLUMNS[ax.name] for ax in request.axes] + list(record.columns)
     cells = [(request.quantity, record.columns)]
-    return _check_and_write(request, spec, columns, cells, combos, param_sets)
+    params = {**fixed, **dict(zip(swept, axes))}
+    return _check_and_write(request, spec, names, cells, axes, params)
 
 
 @dataclass(frozen=True)
 class Preset:
     """A standard figure data set: a fixed grid over table quantities.
 
-    ``points(settings)`` yields each row's leading values and evaluator
-    parameters.  The manifest records the settings (sizes and constants)
-    as its fixed parameters and names the quantity of the first cell.
+    ``grid(settings)`` returns the leading columns and the evaluator
+    parameters as grid columns.  The manifest records the settings
+    (sizes and constants) as its fixed parameters and names the quantity
+    of the first cell.
     """
 
     sizes: dict  # size parameter -> default
     constants: dict
     columns: tuple[str, ...]
-    points: Callable[[dict], Iterable[tuple[list, dict]]]
+    grid: Callable[[dict], tuple[list, dict]]
     cells: tuple[tuple[str, tuple[str, ...]], ...]  # (quantity, its outputs)
 
 
-def _fig2_points(settings: dict):
+def _fig2_grid(settings: dict):
     # 1/eps_b in [1e-3, 0.99]: eps_b = 1 is a pole of the background factors
-    for inv in map(float, np.geomspace(1.0e-3, 0.99, settings["points"])):
-        yield [inv, 1.0 / inv], {"eps_b": 1.0 / inv}
+    inv = np.geomspace(1.0e-3, 0.99, settings["points"])
+    return [inv, 1.0 / inv], {"eps_b": 1.0 / inv}
 
 
-def _fig3_points(settings: dict):
+def _fig3_grid(settings: dict):
     omega_p, eps_b = settings["omega_p"], settings["eps_b"]
-    l_grid = map(float, np.geomspace(100.0, 5000.0, settings["points"]))
-    for d, l in itertools.product(settings["d_values"], l_grid):
-        yield [d, l], {"l": l, "d": d, "eps_b": eps_b, "omega_p": omega_p}
+    l_grid = np.geomspace(100.0, 5000.0, settings["points"])
+    d, l = _product(settings["d_values"], l_grid)
+    return [d, l], {"l": l, "d": d, "eps_b": eps_b, "omega_p": omega_p}
 
 
-def _fig4_points(settings: dict):
-    n, panels, omega_p = settings["d_points"], settings["panels"], settings["omega_p"]
+def _fig4_grid(settings: dict):
+    n, panels = settings["d_points"], settings["panels"]
     # 5 monolayers of growing tubes, or a growing stack of 2 nm tubes
     by_radius = [(float(r), 5) for r in np.linspace(0.5, 4.0, n)]
     by_layers = [(2.0, layers) for layers in range(1, n + 1)]
@@ -512,28 +557,30 @@ def _fig4_points(settings: dict):
              "c": (5.0, by_radius), "d": (5.0, by_layers)}
     if not panels or set(panels) - set(modes):
         raise UsageError(f"fig4 panels must be some of abcd, got {panels!r}")
-    l_grid = [float(v) for v in np.geomspace(500.0, 5000.0, settings["l_points"])]
-    for panel in panels:
-        eps_b, configs = modes[panel]
-        for (radius, layers), l in itertools.product(configs, l_grid):
-            d = layers * 2.0 * radius
-            yield [panel, eps_b, radius, layers, d, l], {
-                "l": l, "d": d, "radius": radius, "eps_b": eps_b, "omega_p": omega_p
-            }
+    l_grid = np.geomspace(500.0, 5000.0, settings["l_points"]).tolist()
+    rows = [
+        (panel, modes[panel][0], radius, layers, layers * 2.0 * radius, l)
+        for panel in panels
+        for (radius, layers), l in itertools.product(modes[panel][1], l_grid)
+    ]
+    leading = [np.array(column) for column in zip(*rows)]
+    _, eps_b, radius, _, d, l = leading
+    return leading, {"l": l, "d": d, "radius": radius, "eps_b": eps_b,
+                     "omega_p": settings["omega_p"]}
 
 
 PRESETS = {
     # main expansion terms against 1/eps_b; both tend to 1 as 1/eps_b -> 0
     "fig2": Preset(
         {"points": 50}, {}, ("inv_eps_b", "eps_b", *MAIN_TERMS),
-        _fig2_points, (("main_terms", MAIN_TERMS),),
+        _fig2_grid, (("main_terms", MAIN_TERMS),),
     ),
     # isotropic nonlocal force vs separation for 10/20/200 nm slabs, with
     # the local-metal force as a reference column
     "fig3": Preset(
         {"points": 25},
         {"omega_p": 2.0e16, "eps_b": 9.0, "d_values": [10.0, 20.0, 200.0]},
-        ("d_nm", "l_nm", *FORCE_COLUMNS, "ratio_lifshitz_local"), _fig3_points,
+        ("d_nm", "l_nm", *FORCE_COLUMNS, "ratio_lifshitz_local"), _fig3_grid,
         (("iso_nonlocal", FORCE_COLUMNS), ("lifshitz_local", ("ratio_to_casimir",))),
     ),
     # orientation-resolved forces of dense (period 2R), free-standing arrays:
@@ -545,7 +592,7 @@ PRESETS = {
         ("panel", "eps_b", "radius_nm", "layers", "d_nm", "l_nm",
          "ratio_parallel", "error_parallel", "validity_parallel",
          "ratio_perp", "error_perp", "validity_perp", *MAIN_TERMS),
-        _fig4_points,
+        _fig4_grid,
         (("aniso_parallel", _ORIENTED), ("aniso_perp", _ORIENTED),
          ("main_terms", MAIN_TERMS)),
     ),
@@ -563,7 +610,6 @@ def run_preset(
     settings = {"preset": name, **preset.sizes, **preset.constants}
     settings.update((k, v) for k, v in sizes.items() if v is not None)
     request = SweepRequest(preset.cells[0][0], settings, (), output_path)
-    points = list(preset.points(settings))
-    leading, param_sets = [p for p, _ in points], [p for _, p in points]
+    leading, params = preset.grid(settings)
     return _check_and_write(request, spec or QuadratureSpec(), preset.columns,
-                            preset.cells, leading, param_sets)
+                            preset.cells, leading, params)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import C_NM_PER_S
 from .lifshitz import casimir_pressure
-from .response import IsotropicSlab, fresnel_coeffs, local_drude_fn
+from .response import IsotropicSlab, _plain, fresnel_coeffs, local_drude_fn
 
 __all__ = [
     "halfspace_reflection_coeffs",
@@ -87,7 +87,8 @@ def film_reflection_coeffs(
 class ApplicabilityReport:
     """Worst-case film/half-space coefficient deviations over the scan
     grid, the two thickness/separation flags, and the overall verdict
-    (all flags true and both deviations at or below the threshold)."""
+    (all flags true and both deviations at or below the threshold).
+    Numbers for one configuration, arrays over a grid of them."""
 
     max_rel_deviation_s: float
     max_rel_deviation_p: float
@@ -98,10 +99,11 @@ class ApplicabilityReport:
 
 
 def applicability_report(
-    slab: IsotropicSlab, l: float, threshold: float = DEFAULT_THRESHOLD
+    slab: IsotropicSlab, l, threshold: float = DEFAULT_THRESHOLD
 ) -> ApplicabilityReport:
     """Scan the (x, p) grid and report whether the half-space formula is
-    trustworthy for this slab at separation l (nm).
+    trustworthy for this slab at separation l (nm); l and the slab's
+    fields may be arrays over N configurations, scanned as N x 4 x 5.
 
     Uses the damping-free metallic response of the slab; the flags check
     2 d omega_p/c > 1 (film thick enough to suppress backscattering) and
@@ -110,17 +112,19 @@ def applicability_report(
     casimir_pressure(l)  # the separation check
     if threshold <= 0.0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
-    eps_fn = local_drude_fn(slab.omega_p3d, slab.eps_b)
 
+    fields = (slab.omega_p3d, slab.eps_b, slab.thickness_d, l)
+    omega_p, eps_b, d, at_l = (np.expand_dims(v, (-2, -1)) for v in fields)  # row first
     x = np.array(_X_GRID)[:, None]
     p = np.array(_P_GRID)
     (r_s, r_p), (big_r_s, big_r_p) = _halfspace_and_film(
-        x, p, l, slab.thickness_d, eps_fn
+        x, p, at_l, d, local_drude_fn(omega_p, eps_b)
     )
-    max_s = float(np.max(np.abs(big_r_s - r_s) / np.abs(r_s)))
-    max_p = float(np.max(np.abs(big_r_p - r_p) / np.abs(r_p)))
+    max_s = np.max(np.abs(big_r_s - r_s) / np.abs(r_s), axis=(-2, -1))
+    max_p = np.max(np.abs(big_r_p - r_p) / np.abs(r_p), axis=(-2, -1))
 
     d_ok = 2.0 * slab.thickness_d * slab.omega_p3d / C_NM_PER_S > 1.0
     l_ok = C_NM_PER_S / (2.0 * l * slab.omega_p3d) < 1.0
-    verdict = d_ok and l_ok and max_s <= threshold and max_p <= threshold
-    return ApplicabilityReport(max_s, max_p, d_ok, l_ok, verdict, threshold)
+    verdict = d_ok & l_ok & (max_s <= threshold) & (max_p <= threshold)
+    report = map(_plain, (max_s, max_p, d_ok, l_ok, verdict))
+    return ApplicabilityReport(*report, threshold)

@@ -1,10 +1,12 @@
 import argparse
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from casimir_slabs import cli, sweep
+from casimir_slabs import IsotropicSlab, cli, sweep
 from casimir_slabs.cli import (
     COMMANDS,
     FLAGS,
@@ -413,21 +415,21 @@ class TestSweep:
         )
         assert inverted[0] == 2
 
-        evaluate, calls = sweep.evaluate_quantity, []
+        listings = []
 
-        def fail_on_second_point(quantity, params, spec):
-            calls.append(params)
-            if len(calls) == 2:
-                raise QuadratureError("injected failure")
-            return evaluate(quantity, params, spec)
+        def fail_inside_grid_evaluation(l):
+            # the grid's one evaluation, once the temporary file exists
+            listings.append(sorted(p.name for p in tmp_path.iterdir()))
+            raise QuadratureError("injected failure")
 
-        monkeypatch.setattr(sweep, "evaluate_quantity", fail_on_second_point)
+        monkeypatch.setattr(sweep, "casimir_pressure", fail_inside_grid_evaluation)
         failed = run(
             capsys, "sweep", "--quantity", "casimir", "--axis", "l:100:1000:3",
             "--out", str(out),
         )
         assert failed[0] == 3
-        assert len(calls) == 2
+        assert len(listings) == 1
+        assert any(name.endswith(".tmp") for name in listings[0])
         assert out.read_bytes() == b"earlier,run\n"
         assert manifest.read_bytes() == b"{}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [out.name, manifest.name]
@@ -453,6 +455,67 @@ class TestSweep:
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2
+
+
+# Closed-form sweeps with their fixed flags set away from the defaults.
+CLOSED_FORM_GRIDS = [
+    ("casimir", ["--axis", "l:1:10000:7:log"], []),
+    ("lifshitz_local", ["--axis", "l:3:10000:7:log"], ["--omega-p", "3e15"]),
+    (
+        "iso_thin",
+        ["--axis", "d:0.5:80:4:log", "--axis", "l:20:8000:5:log"],
+        ["--eps-b", "12", "--eps-sub", "1.5", "--eps-sup", "2.5", "--omega-p", "7e15"],
+    ),
+    (
+        "validity",
+        ["--axis", "d:2:200:4:log", "--axis", "l:2:5000:5:log"],
+        ["--eps-b", "7", "--eps-sub", "1.2", "--eps-sup", "3", "--threshold", "0.05"],
+    ),
+]
+
+
+class TestColumnEvaluation:
+    @pytest.mark.parametrize("quantity, axes, fixed", CLOSED_FORM_GRIDS)
+    def test_json_rows_are_the_point_results(self, capsys, tmp_path, quantity, axes,
+                                             fixed):
+        # A grid is evaluated as arrays, a point as numbers: every row must
+        # still hold exactly, at full precision, what the point command prints.
+        out = tmp_path / "grid.json"
+        argv = ["sweep", "--quantity", quantity, *axes, *fixed, "--out", str(out)]
+        assert main([*argv, "--format", "json"]) == 0
+        capsys.readouterr()
+        table = json.loads(out.read_text())
+        flags = {"d_nm": "--d-nm", "l_nm": "--l-nm"}
+        outputs = sweep.QUANTITIES[quantity].columns
+        assert len(table["rows"]) == math.prod(int(a.split(":")[3]) for a in axes[1::2])
+        for row in table["rows"]:
+            cells = dict(zip(table["columns"], row))
+            point = [quantity.replace("_", "-"), *fixed]
+            for column in set(flags) & set(cells):
+                point += [flags[column], repr(cells[column])]
+            code, stdout, _ = run(capsys, *point)
+            assert code == 0
+            record = result_records(stdout)[0]
+            assert [cells[c] for c in outputs] == [record[c] for c in outputs]
+
+    @pytest.mark.parametrize("quantity", ["iso_thin", "validity"])
+    def test_closed_form_sweep_builds_one_slab(self, capsys, tmp_path, monkeypatch,
+                                               quantity):
+        built, check = [], IsotropicSlab.__post_init__
+
+        def counted(slab):
+            built.append(slab)
+            check(slab)
+
+        monkeypatch.setattr(IsotropicSlab, "__post_init__", counted)
+        code, _, _ = run(
+            capsys, "sweep", "--quantity", quantity, "--axis", "d:2:50:30:log",
+            "--axis", "l:200:5000:40:log", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 0
+        assert len((tmp_path / "x.csv").read_text().splitlines()) == 1 + 30 * 40
+        assert len(built) == 1
+        assert np.shape(built[0].thickness_d) == (30 * 40,)
 
 
 class TestCrossoverCommand:

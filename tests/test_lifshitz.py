@@ -39,6 +39,17 @@ class TestCasimirPressure:
     def test_hundred_nm(self):
         assert casimir_pressure(100.0) == pytest.approx(13.00, rel=1e-3)
 
+    def test_array_equals_scalar_calls_bit_for_bit(self):
+        # A sweep row and the point command at the same l print the same
+        # pressure only if the array law rounds as the scalar one does.
+        l = np.geomspace(1.0, 1.0e4, 20001)
+        pressures = casimir_pressure(l)
+        assert pressures.tolist() == [casimir_pressure(x) for x in l.tolist()]
+
+    def test_array_domain_names_first_bad_separation(self):
+        with pytest.raises(ValueError, match="got -5.0 nm"):
+            casimir_pressure(np.array([100.0, -5.0, math.nan]))
+
     @pytest.mark.parametrize("l", [0.0, -5.0, math.nan, math.inf, 1e-80])
     def test_domain(self, l):
         with pytest.raises(ValueError):
@@ -229,3 +240,21 @@ class TestThinLimit:
     def test_sixteen_thirds_identity(self):
         value = 15.0 / math.pi ** 4 * bose_integral(4.0) * (4.0 / 3.0)
         assert value == pytest.approx(16.0 / 3.0, abs=1e-6)
+
+
+def test_closed_forms_over_arrays_equal_their_scalar_calls():
+    # One call over a grid gives, field by field, the scalar calls' values;
+    # a scalar call gives plain Python numbers and strings.
+    d, l = np.array([0.5, 5.0, 10.0, 200.0]), np.array([20.0, 300.0, 1000.0, 4000.0])
+    films = IsotropicSlab(omega_p3d=OMEGA_P, thickness_d=d, eps_b=9.0)
+    pairs = [
+        (thin_limit_ratio(films, l),
+         [thin_limit_ratio(film(x), y) for x, y in zip(d.tolist(), l.tolist())]),
+        (lifshitz_force_local(OMEGA_P / d, l),
+         [lifshitz_force_local(OMEGA_P / x, y) for x, y in zip(d.tolist(), l.tolist())]),
+    ]
+    for grid, points in pairs:
+        for field in ("ratio_to_casimir", "pressure", "error_estimate", "validity"):
+            values = [getattr(point, field) for point in points]
+            assert np.broadcast_to(getattr(grid, field), 4).tolist() == values
+            assert {type(v) for v in values} <= {float, str}

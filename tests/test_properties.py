@@ -133,6 +133,37 @@ def test_iso_nonlocal_in_unit_interval_and_increasing_in_d_and_l(d, l, w, e, k):
         assert gain > other.error_estimate + res.error_estimate
 
 
+# The nonlocal kernel carries sqrt(1 + z), z = beta p/(x q) with
+# beta = 2 l/(eps~ d), where the thin limit carries sqrt(z) and the local
+# metal 1; 0 <= sqrt(1 + z) - sqrt(z) <= 1 and sqrt(1 + z) >= 1 bound the
+# nonlocal correction by the other two.
+sandwich = settings(max_examples=10, derandomize=True, deadline=None)
+film_point = (st.floats(1.0, 500.0), st.floats(50.0, 1.0e4), omega_p, eps_b)
+
+
+@sandwich
+@given(*film_point)
+def test_iso_nonlocal_between_thin_and_local_limits(d, l, w, e):
+    slab = film(d, w, e)
+    nonlocal_ = nonlocal_isotropic_ratio(slab, l)
+    thin = thin_limit_ratio(slab, l)
+    local = lifshitz_force_local(w, l).ratio_to_casimir  # exact: no estimate
+    err = nonlocal_.error_estimate + thin.error_estimate
+    ratio = nonlocal_.ratio_to_casimir
+    assert thin.ratio_to_casimir - (1.0 - local) - err <= ratio
+    assert ratio <= min(thin.ratio_to_casimir, local) + err
+
+
+@sandwich
+@given(*film_point)
+def test_iso_nonlocal_depends_on_d_and_l_through_beta(d, l, w, e):
+    # (d, l) and (2d, 2l) share beta, so (1 - ratio) l is the same integral.
+    one = nonlocal_isotropic_ratio(film(d, w, e), l)
+    two = nonlocal_isotropic_ratio(film(2.0 * d, w, e), 2.0 * l)
+    gap = (1.0 - one.ratio_to_casimir) * l - (1.0 - two.ratio_to_casimir) * 2.0 * l
+    assert abs(gap) <= one.error_estimate * l + two.error_estimate * 2.0 * l
+
+
 @settings(max_examples=8, derandomize=True, deadline=None)
 @given(st.floats(0.5, 5.0), st.floats(1.0, 50.0), st.floats(50.0, 1.0e4),
        st.floats(1.5, 100.0), factor)

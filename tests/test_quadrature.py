@@ -253,3 +253,25 @@ def test_package_does_not_load_scipy_integrate():
     # The probe does see a load: a nanotube kernel needs scipy.special.
     aniso = 'cli.main(["aniso", "--layers", "5", "--radius-nm", "2", "--l-nm", "1000"])'
     assert scipy_loaded_by(aniso) == ["scipy.special"]
+
+
+PUBLIC_NAMES = [
+    "ApplicabilityReport", "CrossoverResult", "ForceResult", "IntegralResult",
+    "IsotropicSlab", "NanotubeArraySlab", "OrientationForces", "QuadratureError",
+    "QuadratureSpec", "__version__", "applicability_report", "bessel_i0k0_product",
+    "bose_integral", "casimir_pressure", "crossover_thickness",
+    "drude_eps_imaginary_axis", "eps_tilde", "f_parallel_ratio", "f_perp_ratio",
+    "film_reflection_coeffs", "halfspace_reflection_coeffs", "integrate_p_axis",
+    "integrate_xp", "lifshitz_force_local", "lifshitz_pressure_general",
+    "local_drude_fn", "main_term_parallel", "main_term_perp", "momentum_from_xp",
+    "nonlocal_isotropic_ratio", "orientation_forces", "phi", "plasma_freq_isotropic",
+    "plasma_freq_nanotube", "plasma_skin_depth_nm", "psi", "thin_limit_coefficient",
+    "thin_limit_ratio",
+]
+
+
+def test_package_exports_the_modules_public_names():
+    # __all__ is built from each module's own __all__; every name resolves.
+    assert sorted(casimir_slabs.__all__) == PUBLIC_NAMES
+    for name in casimir_slabs.__all__:
+        assert getattr(casimir_slabs, name) is not None

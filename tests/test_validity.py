@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from casimir_slabs import (
@@ -182,6 +183,19 @@ class TestApplicabilityReport:
             applicability_report(film(20.0), -1.0)
         with pytest.raises(ValueError):
             applicability_report(film(20.0), 1000.0, threshold=0.0)
+
+    def test_grid_report_equals_its_scalar_reports(self):
+        d, l = np.array([2.0, 10.0, 20.0, 200.0]), np.array([2.0, 100.0, 1000.0, 5000.0])
+        grid = applicability_report(
+            IsotropicSlab(omega_p3d=OMEGA_P, thickness_d=d, eps_b=9.0), l
+        )
+        points = [applicability_report(film(x), y) for x, y in zip(d.tolist(), l.tolist())]
+        for field in ("max_rel_deviation_s", "max_rel_deviation_p", "d_ok", "l_ok",
+                      "verdict"):
+            values = [getattr(point, field) for point in points]
+            assert getattr(grid, field).tolist() == values
+            assert {type(v) for v in values} <= {float, bool}
+        assert [point.verdict for point in points] == [False, False, True, True]
 
 
 class TestSkinDepth:
