@@ -21,12 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constants import C_NM_PER_S, PI4
-from .lifshitz import (
-    RATIO_NORM, ForceResult, _flag, _force_result, _over, casimir_pressure,
-)
+from .lifshitz import RATIO_NORM, ForceResult, _bose, _nonlocal_force
 from .quadrature import IntegralResult, QuadratureError, QuadratureSpec, integrate_xp
-from .response import NanotubeArraySlab, _tube_factor, fresnel_coeffs, momentum_from_xp
+from .response import NanotubeArraySlab, _require_background, _tube_factor
+from .response import fresnel_coeffs
 
 __all__ = [
     "phi",
@@ -45,11 +43,7 @@ __all__ = [
 def _check_background(p, eps_b: float) -> None:
     if np.any(p < 1.0):
         raise ValueError(f"p must be >= 1, got {np.min(p)}")
-    if eps_b <= 1.0:
-        raise ValueError(
-            f"background factors require eps_b > 1, got {eps_b} "
-            "(the denominator vanishes at eps_b = 1)"
-        )
+    _require_background(eps_b)
 
 
 def phi(p, eps_b: float):
@@ -113,25 +107,15 @@ def main_term_perp(eps_b: float, spec: QuadratureSpec | None = None) -> float:
     return RATIO_NORM * _main_perp_integral(eps_b, spec).value
 
 
-def _correction_coef(array: NanotubeArraySlab, l: float) -> float:
-    """15 c/(pi^4 omega_p3d l) sqrt(Delta/(2 pi R)): the co-aligned
-    prefactor of the correction integral over omega_p3d/omega_p(k)."""
-    weight = math.sqrt(array.period_Delta / (2.0 * math.pi * array.radius_R))
-    return _over(15.0 * C_NM_PER_S * weight, PI4 * array.omega_p3d * l)
+def _main(offset: float, integral: IntegralResult):
+    """(value, error, converged) of the main term offset + RATIO_NORM integral."""
+    value = offset + RATIO_NORM * integral.value
+    return value, RATIO_NORM * integral.error_estimate, integral.converged
 
 
-def _assemble(
-    main: IntegralResult,
-    corr: IntegralResult,
-    main_offset: float,
-    corr_coef: float,
-    f_c: float,
-) -> ForceResult:
-    main_val = main_offset + RATIO_NORM * main.value
-    corr_val = corr_coef * corr.value
-    err = RATIO_NORM * main.error_estimate + corr_coef * corr.error_estimate
-    validity = _flag(main.converged and corr.converged, corr_val, main_val)
-    return _force_result(main_val - corr_val, f_c, err, validity)
+def _tube_scale(array: NanotubeArraySlab) -> float:
+    """sqrt(Delta/(2 pi R)), the co-aligned scale of the correction."""
+    return math.sqrt(array.period_Delta / (2.0 * math.pi * array.radius_R))
 
 
 def f_parallel_ratio(
@@ -141,17 +125,12 @@ def f_parallel_ratio(
 
     Main term 1/2 + phi^2-damped dielectric channel, minus the
     Bessel-weighted finite-plasma-frequency correction."""
-    f_c = casimir_pressure(l)
-
-    def fcorr(x, p, q):
-        pp = p * p
-        bose = x ** 4 * np.exp(-x) / np.expm1(-x) ** 2
-        k = momentum_from_xp(x, p, q, l)
-        return bose / (pp * pp) * _tube_factor(k, array)
-
-    main = _main_parallel_integral(array.eps_b, spec)
-    corr = integrate_xp(fcorr, spec, p_singularity_order=0.5)
-    return _assemble(main, corr, 0.5, _correction_coef(array, l), f_c)
+    return _nonlocal_force(
+        array, l, spec,
+        main=lambda: _main(0.5, _main_parallel_integral(array.eps_b, spec)),
+        weight=lambda x, p, factor: _bose(x) / (p * p) ** 2 * factor,
+        factor=_tube_factor, order=0.5, scale=_tube_scale(array),
+    )
 
 
 def f_perp_ratio(
@@ -162,22 +141,21 @@ def f_perp_ratio(
     Both channels are metal-dielectric; the correction carries the same
     dispersion factor as the co-aligned case at half the prefactor,
     weighted by the squared round-trip denominators."""
-    f_c = casimir_pressure(l)
     eps_b = array.eps_b
 
-    def fcorr(x, p, q):
+    def weight(x, p, factor):
         emx = np.exp(-x)
         ph = phi(p, eps_b)
         ps = psi(p, eps_b)
         # x^4 e^x [phi p/(phi e^x - 1)^2 - (psi/p)/(psi e^x + 1)^2] / p^3,
         # folded with e^(-2x) so nothing grows with x.
         bracket = ph * p / (ph - emx) ** 2 - (ps / p) / (ps + emx) ** 2
-        k = momentum_from_xp(x, p, q, l)
-        return x ** 4 * emx * bracket / p ** 3 * _tube_factor(k, array)
+        return x ** 4 * emx * bracket / p ** 3 * factor
 
-    main = _main_perp_integral(eps_b, spec)
-    corr = integrate_xp(fcorr, spec, p_singularity_order=0.5)
-    return _assemble(main, corr, 0.0, 0.5 * _correction_coef(array, l), f_c)
+    return _nonlocal_force(
+        array, l, spec, main=lambda: _main(0.0, _main_perp_integral(eps_b, spec)),
+        weight=weight, factor=_tube_factor, order=0.5, scale=0.5 * _tube_scale(array),
+    )
 
 
 @dataclass(frozen=True)

@@ -47,11 +47,6 @@ Validity = Literal["valid", "correction_dominant", "quadrature_failed"]
 # terms into F/F_C; both channels perfect gives exactly 1.
 RATIO_NORM = 15.0 / (2.0 * PI4)
 
-# The settings the thin-limit coefficient uses unless a spec is given;
-# built once, as thin_limit_ratio reads it on every call.
-_DEFAULT_SPEC = QuadratureSpec()
-
-
 @dataclass(frozen=True)
 class ForceResult:
     """Force at one configuration: ratio to the ideal-conductor value,
@@ -169,6 +164,35 @@ def lifshitz_force_local(omega_p, l) -> ForceResult:
     return _force_result(1.0 - corr, f_c, 0.0, _flag(True, corr))
 
 
+def _bose(x):
+    """x^4 e^x/(e^x - 1)^2, the Bose weight of every correction integral."""
+    return x ** 4 * np.exp(-x) / np.expm1(-x) ** 2
+
+
+def _nonlocal_force(slab, l, spec, *, main, weight, factor, order, scale):
+    """A main term minus the finite-plasma-frequency correction, the one
+    construction of the film and both nanotube-array forces.
+
+    ``main()`` gives the main term's (value, error, converged); it runs
+    after the separation check.  The correction is 15 c scale/(pi^4
+    omega_p3d l) times the (x, p) integral of weight(x, p, F), where
+    F = factor(k, slab) = omega_p3d/omega_p(k) at k = x q/(2 p l) and the
+    p integrand diverges as (p^2-1)^(-order) at p = 1.
+    """
+    f_c = casimir_pressure(l)
+    main_value, main_error, main_converged = main()
+
+    def f(x, p, q):
+        return weight(x, p, factor(momentum_from_xp(x, p, q, l), slab))
+
+    res = integrate_xp(f, spec, p_singularity_order=order)
+    coef = _over(15.0 * C_NM_PER_S * scale, PI4 * slab.omega_p3d * l)
+    corr = coef * res.value
+    err = main_error + coef * res.error_estimate
+    flag = _flag(main_converged and res.converged, corr, main_value)
+    return _force_result(main_value - corr, f_c, err, flag)
+
+
 def nonlocal_isotropic_ratio(
     slab: IsotropicSlab, l: float, spec: QuadratureSpec | None = None
 ) -> ForceResult:
@@ -179,43 +203,32 @@ def nonlocal_isotropic_ratio(
     which diverges as (p^2-1)^(-1/4) at normal incidence, an integrable
     factor in the p integrand.
     """
-    f_c = casimir_pressure(l)
-
-    def f(x, p, q):
-        pp = p * p
-        bose = x ** 4 * np.exp(-x) / np.expm1(-x) ** 2
-        k = momentum_from_xp(x, p, q, l)
-        return bose * ((pp + 1.0) / (pp * pp) * _film_factor(k, slab))
-
-    res = integrate_xp(f, spec, p_singularity_order=0.25)
-    coef = _over(15.0 * C_NM_PER_S, PI4 * slab.omega_p3d * l)
-    corr = coef * res.value
-    return _force_result(
-        1.0 - corr, f_c, coef * res.error_estimate, _flag(res.converged, corr)
+    return _nonlocal_force(
+        slab, l, spec, main=lambda: (1.0, 0.0, True),
+        weight=lambda x, p, factor: _bose(x) * ((p * p + 1.0) / (p * p) ** 2 * factor),
+        factor=_film_factor, order=0.25, scale=1.0,
     )
 
 
 @lru_cache(maxsize=None)
-def _thin_limit_parts(spec: QuadratureSpec) -> tuple[float, float]:
+def _thin_limit_parts() -> tuple[float, float]:
     """(coefficient, error) of the small-thickness correction.
 
     The x part is Gamma(9/2) zeta(7/2) in closed form; the p part,
     int_1^inf (p^2+1) / (p^(7/2) (p^2-1)^(1/4)) dp, is done by
     quadrature so the whole stack stays self-validating.
     """
-    pres = integrate_p_axis(
-        lambda p, q: (p * p + 1.0) / (p ** 3.5 * np.sqrt(q)), 0.25, spec
-    )
+    pres = integrate_p_axis(lambda p, q: (p * p + 1.0) / (p ** 3.5 * np.sqrt(q)), 0.25)
     if not pres.converged:
         raise QuadratureError("thin-limit p integral did not converge")
     scale = 15.0 * math.sqrt(2.0) / PI4 * bose_integral(3.5)
     return scale * pres.value, scale * pres.error_estimate
 
 
-def thin_limit_coefficient(spec: QuadratureSpec | None = None) -> float:
+def thin_limit_coefficient() -> float:
     """Numeric prefactor (~4.79) of the c/(omega_p sqrt(eps~ d l))
-    correction, computed once per quadrature spec and cached."""
-    return _thin_limit_parts(spec or _DEFAULT_SPEC)[0]
+    correction, computed once at the default quadrature settings and cached."""
+    return _thin_limit_parts()[0]
 
 
 def thin_limit_ratio(slab: IsotropicSlab, l) -> ForceResult:
@@ -227,7 +240,7 @@ def thin_limit_ratio(slab: IsotropicSlab, l) -> ForceResult:
     the ideal-conductor limit even at large separation.
     """
     f_c = casimir_pressure(l)
-    coeff, coeff_err = _thin_limit_parts(_DEFAULT_SPEC)
+    coeff, coeff_err = _thin_limit_parts()
     with np.errstate(over="ignore"):  # an infinite denominator gives no correction
         denominator = slab.omega_p3d * np.sqrt(eps_tilde(slab) * slab.thickness_d * l)
         scale = _over(C_NM_PER_S, denominator)

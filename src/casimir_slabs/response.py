@@ -61,6 +61,13 @@ def _require_media(slab, *positive: str) -> None:
     _require(ok, "environment permittivities must be in (0, inf)")
 
 
+def _require_background(eps_b) -> None:
+    """eps_b > 1, for numbers or arrays: the background factors phi and psi
+    of the nanotube arrays have a vanishing denominator at eps_b = 1."""
+    _require(np.greater(eps_b, 1.0), "background factors require eps_b > 1, got {} "
+             "(the denominator vanishes at eps_b = 1)", eps_b)
+
+
 @dataclass(frozen=True)
 class IsotropicSlab:
     """Uniform in-plane isotropic film of finite thickness.
@@ -106,6 +113,7 @@ class NanotubeArraySlab:
 
     def __post_init__(self) -> None:
         _require_media(self, "omega_p3d", "radius_R")
+        _require_background(self.eps_b)
         if self.period_Delta is None:
             object.__setattr__(self, "period_Delta", 2.0 * self.radius_R)
         diameter = 2.0 * self.radius_R

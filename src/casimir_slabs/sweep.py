@@ -51,7 +51,7 @@ from .lifshitz import (
     thin_limit_ratio,
 )
 from .quadrature import QuadratureSpec
-from .response import IsotropicSlab, NanotubeArraySlab
+from .response import IsotropicSlab, NanotubeArraySlab, _require_background
 from .validity import DEFAULT_THRESHOLD, applicability_report
 
 __all__ = [
@@ -154,16 +154,12 @@ class Quantity:
     slab: Callable[[dict, str], object] | None
     evaluate: Callable[[dict, object, QuadratureSpec], dict]
     columns: tuple[str, ...] = FORCE_COLUMNS
-    array: bool = False  # a nanotube-array quantity rather than a film one
+    eps_b_default: float = 9.0  # 10 for the nanotube-array quantities
     integrates: bool = True  # reads the quadrature spec
 
     @property
     def params(self) -> tuple[str, ...]:
         return self.requires + self.optional
-
-    @property
-    def eps_b_default(self) -> float:
-        return 10.0 if self.array else 9.0
 
 
 def _require(params: dict, keys: Sequence[str], quantity: str) -> None:
@@ -211,13 +207,10 @@ def _crossover_template(params: dict, quantity: str) -> NanotubeArraySlab:
         raise UsageError(
             f"need d_min < d_max, got {params['d_min']} >= {params['d_max']}"
         )
-    # The bracket sets the thickness: crossover reads neither d nor layers.
-    return array_slab({**params, "d": params["d_max"], "layers": None}, quantity)
-
-
-def _check_background(params: dict, quantity: str) -> None:
-    if not np.all(np.greater(params["eps_b"], 1.0)):
-        raise UsageError(f"{quantity} requires eps_b > 1")
+    # The bracket sets the thickness (crossover reads neither d nor layers),
+    # so a slab must exist at both its ends before the search probes either.
+    array_slab({**params, "d": params["d_max"], "layers": None}, quantity)
+    return array_slab({**params, "d": params["d_min"], "layers": None}, quantity)
 
 
 def _rows(columns: dict, shape: tuple) -> list[dict]:
@@ -317,23 +310,23 @@ QUANTITIES = {
         _ARRAY, _ARRAY_OPTIONAL, array_slab,
         _each_row(lambda p, slab, spec: _force_columns(
             f_parallel_ratio(slab, p["l"], spec))),
-        array=True,
+        eps_b_default=10.0,
     ),
     "aniso_perp": Quantity(
         _ARRAY, _ARRAY_OPTIONAL, array_slab,
         _each_row(lambda p, slab, spec: _force_columns(
             f_perp_ratio(slab, p["l"], spec))),
-        array=True,
+        eps_b_default=10.0,
     ),
     "main_terms": Quantity(
-        ("eps_b",), (), _check_background, _each_row(_main_terms), MAIN_TERMS,
-        array=True,
+        ("eps_b",), (), lambda params, name: _require_background(params["eps_b"]),
+        _each_row(_main_terms), MAIN_TERMS, eps_b_default=10.0,
     ),
     "crossover": Quantity(
         ("l", "d_min", "d_max", "radius", "eps_b", "omega_p"),
         ("delta", *_SURROUNDINGS), _crossover_template, _each_row(_crossover),
         ("crossover_d_nm", "crossover_d_error_nm", "sign_low", "sign_high",
-         "iterations"), array=True,
+         "iterations"), eps_b_default=10.0,
     ),
     "validity": Quantity(
         _FILM, (*_SURROUNDINGS, "threshold"), _iso_slab, _validity, _VALIDITY,
@@ -351,9 +344,12 @@ def _record(quantity: str) -> Quantity:
 
 
 def _check_grid(quantity: str, params: dict):
-    """Check a grid's parameters and build its slab for all rows at once."""
+    """Check a grid's parameters and build its slab for all rows at once,
+    with the evaluators' own checks, so no row fails once one is computed."""
     record = _record(quantity)
     _require(params, record.requires, quantity)
+    if "l" in record.params:
+        casimir_pressure(params["l"])  # every evaluator's separation check
     return None if record.slab is None else record.slab(params, quantity)
 
 

@@ -75,7 +75,7 @@ class TestBackgroundFactors:
 
 class TestMainTerms:
     def test_computed_once_per_background(self, fast_spec, monkeypatch):
-        from casimir_slabs import anisotropic
+        from casimir_slabs import anisotropic, lifshitz
 
         integrate, calls = anisotropic.integrate_xp, []
 
@@ -83,7 +83,9 @@ class TestMainTerms:
             calls.append(args)
             return integrate(*args, **kwargs)
 
-        monkeypatch.setattr(anisotropic, "integrate_xp", counting)
+        # main terms integrate in anisotropic, the shared correction in lifshitz
+        for module in (anisotropic, lifshitz):
+            monkeypatch.setattr(module, "integrate_xp", counting)
         anisotropic._main_parallel_integral.cache_clear()
         slab = array(20.0, eps_b=12.5)
         f_parallel_ratio(slab, 1000.0, fast_spec)

@@ -83,6 +83,16 @@ class TestPointCommands:
         records = result_records(out)
         assert {r["quantity"] for r in records} == {"aniso_parallel", "aniso_perp"}
 
+    @pytest.mark.parametrize("orientation", ["parallel", "perp"])
+    def test_aniso_one_orientation_is_its_record_of_both(self, capsys, orientation):
+        argv = ("aniso", "--l-nm", "1000", "--layers", "5", *FAST, "--orientation")
+        code, out, _ = run(capsys, *argv, orientation)
+        assert code == 0
+        (record,) = result_records(out)
+        both = result_records(run(capsys, *argv, "both")[1])
+        assert record in both
+        assert record["quantity"] == "aniso_" + orientation
+
     def test_validity_report(self, capsys):
         code, out, _ = run(capsys, "validity", "--d-nm", "20", "--l-nm", "1000")
         assert code == 0
@@ -214,6 +224,12 @@ def test_flag_table_matches_quantities():
         "casimir --l-nm 1e-80",
         "iso-thin --d-nm nan --l-nm 1000",
         "sweep --quantity iso_thin --axis d:nan:10:2 --l-nm 1000 --out {tmp}/x.csv",
+        # axes without points, with an unknown spacing, or log through 0
+        "sweep --quantity casimir --axis l:1:2:0 --out {tmp}/x.csv",
+        "sweep --quantity casimir --axis l:1:2:3:cubic --out {tmp}/x.csv",
+        "sweep --quantity casimir --axis l:0:2:3:log --out {tmp}/x.csv",
+        # an array thickness given neither as d nor as layers
+        "aniso --l-nm 1000",
     ],
 )
 def test_unread_or_unusable_input_is_usage_error(capsys, tmp_path, argv):
@@ -364,6 +380,16 @@ class TestSweep:
             sweep.run_sweep(request)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "quantity, fmt, why",
+        [("iso_nonlocal", "xml", "format must be csv or json"),
+         ("iso_local", "csv", "unknown quantity 'iso_local'")],
+    )
+    def test_library_request_unknown_quantity_or_format(self, tmp_path, quantity, fmt,
+                                                        why):
+        with pytest.raises(sweep.UsageError, match=why):
+            sweep.SweepRequest(quantity, {}, (), str(tmp_path / "x.csv"), fmt)
+
     def test_unwritable_path_fails_before_compute(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--quantity", "casimir",
@@ -417,12 +443,12 @@ class TestSweep:
 
         listings = []
 
-        def fail_inside_grid_evaluation(l):
+        def fail_inside_grid_evaluation(*args):
             # the grid's one evaluation, once the temporary file exists
             listings.append(sorted(p.name for p in tmp_path.iterdir()))
             raise QuadratureError("injected failure")
 
-        monkeypatch.setattr(sweep, "casimir_pressure", fail_inside_grid_evaluation)
+        monkeypatch.setattr(sweep, "evaluate_quantity", fail_inside_grid_evaluation)
         failed = run(
             capsys, "sweep", "--quantity", "casimir", "--axis", "l:100:1000:3",
             "--out", str(out),
@@ -446,6 +472,55 @@ class TestSweep:
         assert row == ",".join(
             format_value(point[c]) for c in ("main_parallel", "main_perp")
         )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # eps_b = 1 is rejected by the slab, not first by a kernel
+            ("--quantity aniso_parallel --axis eps_b:10:1:3 --layers 2 --l-nm 1000",
+             "background factors require eps_b > 1, got 1.0"),
+            ("--quantity crossover --axis eps_b:10:1:2 --l-nm 1000 --d-min-nm 40 "
+             "--d-max-nm 50", "background factors require eps_b > 1, got 1.0"),
+            # the bracket's thin end is below one monolayer at R = 3
+            ("--quantity crossover --axis R:1:3:3 --l-nm 1000 --d-min-nm 4 "
+             "--d-max-nm 100", "thickness_d = 4.0 nm is not finite or is below one "
+             "monolayer (2R = 6.0 nm)"),
+            # the separation check runs on the whole grid
+            ("--quantity iso_nonlocal --axis l:1000:-1000:3 --d-nm 10",
+             "separation must be > 0 with a finite pressure, got 0.0 nm"),
+        ],
+    )
+    def test_grid_fails_before_any_integral(self, capsys, tmp_path, monkeypatch, argv,
+                                            message):
+        from casimir_slabs import quadrature
+
+        integrate, started = quadrature.integrate_p_axis, []
+
+        def counting(*args, **kwargs):
+            started.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate_p_axis", counting)
+        out = str(tmp_path / "x.csv")
+        code, _, err = run(capsys, "sweep", *argv.split(), "--out", out)
+        assert code == 2
+        assert message in err
+        assert started == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_library_crossover_bracket_checked_at_both_ends(self, tmp_path, monkeypatch):
+        from casimir_slabs import quadrature
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("an integral started before the grid check")
+
+        monkeypatch.setattr(quadrature, "integrate_p_axis", no_quadrature)
+        fixed = {"l": 1000.0, "d_min": 40.0, "d_max": math.inf, "radius": 2.0,
+                 "eps_b": 10.0, "omega_p": 2e16}
+        request = sweep.SweepRequest("crossover", fixed, (), str(tmp_path / "x.csv"))
+        with pytest.raises(ValueError, match="thickness_d = inf nm"):
+            sweep.run_sweep(request)
+        assert list(tmp_path.iterdir()) == []
 
     def test_grid_invariants_checked_before_compute(self, capsys, tmp_path):
         # layers axis reaching below one monolayer must fail upfront

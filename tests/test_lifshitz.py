@@ -203,10 +203,10 @@ class TestThinLimit:
     def test_coefficient_cached(self):
         assert thin_limit_coefficient() is thin_limit_coefficient()
 
-    def test_coefficient_within_its_error_of_the_closed_form(self, spec):
+    def test_coefficient_within_its_error_of_the_closed_form(self):
         # C = 15 sqrt(2)/pi^4 Gamma(9/2) zeta(7/2) (B(1/2,3/4) + B(3/2,3/4))/2,
         # 4.787491936684390405 from mpmath at 40 digits
-        coeff, err = _thin_limit_parts(spec)
+        coeff, err = _thin_limit_parts()
         assert thin_limit_coefficient() == coeff
         assert err < 1.0e-11
         assert abs(coeff - 4.787491936684390) <= err

@@ -190,6 +190,11 @@ class TestDoubleIntegral:
         res = integrate_xp(lambda x, p, q: np.exp(-x) / (p * p), bad)
         assert not res.converged
 
+    def test_nan_integrand_is_flagged_with_infinite_error(self, spec):
+        res = integrate_xp(lambda x, p, q: np.nan * x * p, spec)
+        assert not res.converged
+        assert res.error_estimate == math.inf
+
     def test_result_is_deterministic(self, spec):
         f = lambda x, p, q: np.exp(-x) * (p * p + 1.0) / p ** 4
         first = integrate_xp(f, spec)

@@ -101,6 +101,11 @@ class TestFilmCoefficients:
         assert all(a > b for a, b in zip(gaps_s, gaps_s[1:]))
         assert all(a > b for a, b in zip(gaps_p, gaps_p[1:]))
 
+    @pytest.mark.parametrize("d", [0.0, -10.0])
+    def test_nonpositive_thickness_rejected(self, d):
+        with pytest.raises(ValueError, match="thickness must be > 0"):
+            film_reflection_coeffs(1.0, 2.0, 1000.0, d, DRUDE)
+
     def test_no_amplification(self):
         for x in (0.5, 1.0, 2.0, 4.0):
             for p in (1.0, 1.5, 2.0, 4.0, 10.0):
