@@ -24,7 +24,7 @@ import numpy as np
 from .lifshitz import RATIO_NORM, ForceResult, _bose, _nonlocal_force
 from .quadrature import IntegralResult, QuadratureError, QuadratureSpec, integrate_xp
 from .response import NanotubeArraySlab, _require_background, _tube_factor
-from .response import fresnel_coeffs
+from .response import _shared_normalisation, fresnel_coeffs
 
 __all__ = [
     "phi",
@@ -175,9 +175,15 @@ class OrientationForces:
 def orientation_forces(
     array: NanotubeArraySlab, l: float, spec: QuadratureSpec | None = None
 ) -> OrientationForces:
-    return OrientationForces(
-        f_parallel_ratio(array, l, spec), f_perp_ratio(array, l, spec)
-    )
+    """Co-aligned and crossed force ratios of one slab pair.
+
+    Both orientations share one table of the tube's Bessel normalisation
+    per node block, which ends with the call (or with the enclosing
+    crossover search, whose table it then uses)."""
+    with _shared_normalisation():
+        return OrientationForces(
+            f_parallel_ratio(array, l, spec), f_perp_ratio(array, l, spec)
+        )
 
 
 @dataclass(frozen=True)
@@ -211,14 +217,20 @@ def crossover_thickness(
 
     ``array_template`` supplies everything but the thickness, which is
     replaced per probe (so the d >= 2R invariant is enforced on every
-    evaluation).  Each thickness is probed once.  If brentq does not
-    converge, ``crossover_d`` is None; a failed probe raises QuadratureError.
+    evaluation, and on both bracket ends before the first probe).  Each
+    thickness is probed once.  The tube's Bessel normalisation does not
+    depend on the thickness, so every probe and both orientations share
+    one table of it per node block, which ends with the search.  If
+    brentq does not converge, ``crossover_d`` is None; a failed probe
+    raises QuadratureError.
     """
     from scipy.optimize import brentq  # imported here: only this search needs it
 
     d_lo, d_hi = d_range
     if not d_lo < d_hi:
         raise ValueError(f"need d_lo < d_hi, got ({d_lo}, {d_hi})")
+    for d in d_range:  # a bad end fails before any integral starts
+        replace(array_template, thickness_d=d)
     probes: dict[float, OrientationForces] = {}
 
     def aniso(d: float) -> float:
@@ -230,20 +242,21 @@ def crossover_thickness(
             probes[d] = forces
         return probes[d].anisotropy
 
-    sign_lo = math.copysign(1.0, aniso(d_lo))
-    sign_hi = math.copysign(1.0, aniso(d_hi))
+    with _shared_normalisation():  # every probe below shares one Bessel table
+        sign_lo = math.copysign(1.0, aniso(d_lo))
+        sign_hi = math.copysign(1.0, aniso(d_hi))
+        if sign_lo != sign_hi:
+            d, info = brentq(
+                aniso, d_lo, d_hi, xtol=CROSSOVER_XTOL_NM, full_output=True, disp=False
+            )
     root = d_error = None
-    if sign_lo != sign_hi:
-        d, info = brentq(
-            aniso, d_lo, d_hi, xtol=CROSSOVER_XTOL_NM, full_output=True, disp=False
-        )
-        if info.converged:
-            # The root lies between d and the nearest probe of the other
-            # sign; the error estimate at d over the secant slope widens that.
-            flipped = [e for e in probes if aniso(e) * aniso(d) <= 0.0 and e != d]
-            other = min(flipped, key=lambda e: abs(e - d))
-            err = probes[d].f_parallel.error_estimate + probes[d].f_perp.error_estimate
-            d_error = abs(other - d) * (1.0 + err / abs(aniso(other) - aniso(d)))
-            root = d
+    if sign_lo != sign_hi and info.converged:
+        # The root lies between d and the nearest probe of the other sign;
+        # the error estimate at d over the secant slope widens that.
+        flipped = [e for e in probes if aniso(e) * aniso(d) <= 0.0 and e != d]
+        other = min(flipped, key=lambda e: abs(e - d))
+        err = probes[d].f_parallel.error_estimate + probes[d].f_perp.error_estimate
+        d_error = abs(other - d) * (1.0 + err / abs(aniso(other) - aniso(d)))
+        root = d
     iterations = len(probes) - 2  # brentq's info.iterations is not a probe count
     return CrossoverResult(root, (d_lo, d_hi), sign_lo, sign_hi, iterations, d_error)

@@ -7,11 +7,15 @@ isotropic film and of the aligned-nanotube array, the (x, p) -> k
 mapping used inside the force integrands, the half-space Fresnel pair
 and the local Drude permittivity evaluated at omega = i*xi.
 
-Lengths are nm, angular frequencies s^-1.  All functions are pure.
+Lengths are nm, angular frequencies s^-1.  All functions are pure; the
+table of tube normalisations that a force call may share between its
+integrals lives only as long as that call and changes no value.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -155,11 +159,52 @@ def _film_factor(k, slab: Slab):
     return np.sqrt(1.0 + 1.0 / (eps_tilde(slab) * slab.thickness_d) / k)
 
 
+# Tube normalisations of the scope that _shared_normalisation opened in
+# this thread or task, keyed on (dtype, shape, bytes) of z; None outside
+# any scope.  A context variable, so concurrent threads never share one.
+_NORMALISATIONS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "tube_normalisations", default=None
+)
+
+
+@contextlib.contextmanager
+def _shared_normalisation():
+    """Scope in which _tube_factor computes each block's Bessel
+    normalisation once; the table is dropped when the outermost scope
+    closes, and a scope opened inside another reuses the outer table."""
+    table = _NORMALISATIONS.get()
+    token = _NORMALISATIONS.set({} if table is None else table)
+    try:
+        yield
+    finally:
+        _NORMALISATIONS.reset(token)
+
+
+def _tube_normalisation(z):
+    """sqrt(2 z I0(z) K0(z)), from the open scope's table when it holds
+    this exact z: the key is the dtype, shape and bytes of z, so a hit
+    returns the very array a miss computes."""
+    table = _NORMALISATIONS.get()
+    if table is None:
+        return np.sqrt(2.0 * z * bessel_i0k0_product(z))
+    z = np.asarray(z)
+    key = (z.dtype.str, z.shape, z.tobytes())
+    if key not in table:
+        table[key] = np.sqrt(2.0 * z * bessel_i0k0_product(z))
+    return table[key]
+
+
 def _tube_factor(k, slab: NanotubeArraySlab):
     """omega_p3d / omega_p(k) of the nanotube array: the film factor over
-    sqrt(2 z I0(z) K0(z)), z = k R, for k > 0."""
+    sqrt(2 z I0(z) K0(z)), z = k R, for k > 0.
+
+    The normalisation depends on k and R but not on the thickness, so
+    inside a _shared_normalisation scope (each orientation_forces call
+    and each crossover_thickness search) it is computed once per node
+    block and shared by both orientations and every probe; the table
+    ends with the call that opened the scope."""
     z = k * slab.radius_R
-    return _film_factor(k, slab) / np.sqrt(2.0 * z * bessel_i0k0_product(z))
+    return _film_factor(k, slab) / _tube_normalisation(z)
 
 
 def _plasma_freq(k, slab: Slab, factor: Callable):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +10,7 @@ from casimir_slabs import (
     NanotubeArraySlab,
     QuadratureError,
     QuadratureSpec,
+    bose_integral,
     crossover_thickness,
     f_parallel_ratio,
     f_perp_ratio,
@@ -152,6 +155,27 @@ class TestLargeEpsLaws:
         assert all(abs(step - 1.278) <= 0.025 for step in perp)
         assert all(abs(a / b - 2.0) <= 0.03 for a, b in zip(par, perp))
 
+    def test_log_slope_is_the_derived_constant(self, spec):
+        # phi^2 - 1 ~ 4p/sqrt(eps_b) for p << sqrt(eps_b), the x integral
+        # is 6 zeta(3) and the p integral (1/2) ln eps_b, so
+        # sqrt(eps_b)(1 - M_par) - (90 zeta(3)/pi^4) ln eps_b tends to a
+        # constant; the crossed term has half the slope (phi - 1 ~ 2p/sqrt(eps_b),
+        # the psi part gives no logarithm).
+        slope = 90.0 * (bose_integral(3.0) / 6.0) / math.pi ** 4
+        assert slope == pytest.approx(1.1106265, abs=1e-7)
+
+        def residual(term, eps_b, c):
+            return math.sqrt(eps_b) * (1.0 - term(eps_b, spec)) - c * math.log(eps_b)
+
+        for term, c, at_1e7, at_1e8 in (
+            (main_term_parallel, slope, -2.5236, -2.5249),
+            (main_term_perp, 0.5 * slope, 0.03722, 0.03700),
+        ):
+            r7, r8 = residual(term, 1e7, c), residual(term, 1e8, c)
+            assert r7 == pytest.approx(at_1e7, abs=1e-4)
+            assert r8 == pytest.approx(at_1e8, abs=1e-4)
+            assert abs(r8 - r7) < 0.002
+
 
 class TestOrientationForces:
     def test_infinite_plasma_frequency_reduces_to_main_terms(self, fast_spec):
@@ -203,14 +227,15 @@ class TestOrientationForces:
 @pytest.fixture(scope="module")
 def counted_crossover(fast_spec):
     """The eps_b = 10, l = 1000 nm search on [4, 100] nm, with the
-    thickness of every orientation_forces call it made."""
+    thickness and the result of every orientation_forces call it made."""
     from casimir_slabs import anisotropic
 
     forces, probed = anisotropic.orientation_forces, []
 
     def counting(array, l, spec=None):
-        probed.append(array.thickness_d)
-        return forces(array, l, spec)
+        result = forces(array, l, spec)
+        probed.append((array.thickness_d, result))
+        return result
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(anisotropic, "orientation_forces", counting)
@@ -259,9 +284,79 @@ class TestCrossover:
 
     def test_iterations_count_probes_after_bracket_ends(self, counted_crossover):
         res, probed = counted_crossover
-        assert res.iterations == len(probed) - 2
-        assert len(set(probed)) == len(probed)  # no thickness probed twice
-        assert probed[:2] == [4.0, 100.0]
+        thicknesses = [d for d, _ in probed]
+        assert res.iterations == len(thicknesses) - 2
+        assert len(set(thicknesses)) == len(thicknesses)  # no thickness probed twice
+        assert thicknesses[:2] == [4.0, 100.0]
+
+    def test_probes_equal_standalone_forces(self, counted_crossover, fast_spec):
+        # the search's shared Bessel table changes no bit of any probe
+        _, probed = counted_crossover
+        for d, forces in probed:
+            slab = replace(array(100.0), thickness_d=d)
+            assert forces.f_parallel == f_parallel_ratio(slab, 1000.0, fast_spec)
+            assert forces.f_perp == f_perp_ratio(slab, 1000.0, fast_spec)
+
+    def test_bessel_normalisation_computed_once_per_block(self, monkeypatch):
+        # Every probe and both orientations reuse the search's table: one
+        # Bessel call per distinct node block (at most 2 per level, 5 levels),
+        # where each probe and orientation would otherwise recompute all.
+        from casimir_slabs import response
+
+        bessel, blocks = response.bessel_i0k0_product, []
+
+        def counting(z):
+            blocks.append((z.shape, z.tobytes()))
+            return bessel(z)
+
+        monkeypatch.setattr(response, "bessel_i0k0_product", counting)
+        counts = []
+        for _ in range(2):
+            blocks.clear()
+            res = crossover_thickness(array(100.0), 1000.0, (4.0, 100.0))
+            assert res.iterations >= 5
+            assert len(set(blocks)) == len(blocks) <= 10
+            counts.append(len(blocks))
+        assert counts[0] == counts[1]  # no table outlived the first search
+
+    def test_threads_keep_their_own_tables(self, fast_spec):
+        # orientation_forces at two separations, run concurrently in two
+        # threads, return the bits of the serial calls
+        slab = array(20.0)
+        separations = (500.0, 1000.0)
+        serial = [orientation_forces(slab, l, fast_spec) for l in separations]
+        results = [None, None]
+
+        def run(i):
+            for _ in range(3):
+                results[i] = orientation_forces(slab, separations[i], fast_spec)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == serial
+
+    def test_bad_high_end_rejected_before_any_integral(self, monkeypatch):
+        from casimir_slabs import quadrature
+
+        integrate, started = quadrature.integrate_p_axis, []
+
+        def counting(*args, **kwargs):
+            started.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate_p_axis", counting)
+        with pytest.raises(ValueError, match="thickness_d = inf nm"):
+            crossover_thickness(array(40.0), 1000.0, (40.0, math.inf))
+        assert started == []
 
     def test_no_bracket_returns_none_with_signs(self, fast_spec):
         res = crossover_thickness(array(100.0), 1000.0, (50.0, 70.0), fast_spec)

@@ -130,12 +130,15 @@ class TestApplicabilityReport:
         assert report.max_rel_deviation_s == pytest.approx(worst_s, rel=1e-14)
         assert report.max_rel_deviation_p == pytest.approx(worst_p, rel=1e-14)
 
-    @pytest.mark.parametrize("d, deviation", [(10.0, 0.18518), (20.0, 0.04310)])
-    def test_worst_s_deviation_is_the_round_trip_closed_form(self, d, deviation):
-        # Why acceptance 09 fails at l = 100 nm: at the grid point (4, 10)
-        # R_s/r_s - 1 = -E(1 - r^2)/(1 - r^2 E), with r and E written out
-        # here, dominates; it stays below e^(-2 d omega_p/c) but above 1%.
-        x, p, l = 4.0, 10.0, 100.0
+    @pytest.mark.parametrize(
+        "d, l, deviation",
+        [(10.0, 100.0, 0.18518), (20.0, 100.0, 0.04310), (10.0, 1000.0, 0.03879)],
+    )
+    def test_worst_s_deviation_is_the_round_trip_closed_form(self, d, l, deviation):
+        # Why acceptance 09 fails at its three points: at the grid point
+        # (4, 10) R_s/r_s - 1 = -E(1 - r^2)/(1 - r^2 E), with r and E written
+        # out here, dominates; it stays below e^(-2 d omega_p/c) but above 1%.
+        x, p = 4.0, 10.0
         xi = x * C_NM_PER_S / (2.0 * p * l)
         eps = 9.0 + (OMEGA_P / xi) ** 2
         s = math.sqrt(eps - 1.0 + p * p)
