@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .quadrature import QuadratureError, QuadratureSpec
+from .response import _shared_normalisation
 from .sweep import (
     PRESETS,
     QUANTITIES,
@@ -260,21 +261,16 @@ def _crossover_with_curve(path: str, n: int, params: dict, spec: QuadratureSpec)
     thicknesses of the bracket, all inside write_outputs: a path that
     cannot be written fails first."""
     step = (params["d_max"] - params["d_min"]) / max(n - 1, 1)
-    codes = []
-
-    def columns():
-        codes.append(run_point("crossover", params, spec))
+    request = SweepRequest("crossover", {**params, "curve_points": n}, (), path)
+    names = ["d_nm", "ratio_parallel", "ratio_perp", "anisotropy"]
+    with write_outputs(request, spec, names) as write:
+        code = run_point("crossover", params, spec)
         grid = {**params, "d": np.array([params["d_min"] + i * step for i in range(n)])}
         par, perp = (evaluate_quantity(q, grid, spec)["ratio_to_casimir"]
                      for q in ("aniso_parallel", "aniso_perp"))
-        yield from (grid["d"], par, perp, np.subtract(par, perp))
-
-    request = SweepRequest("crossover", {**params, "curve_points": n}, (), path)
-    write_outputs(
-        request, spec, ["d_nm", "ratio_parallel", "ratio_perp", "anisotropy"], columns()
-    )
+        write([grid["d"], par, perp, np.subtract(par, perp)])
     print(f"anisotropy curve written to {path}")
-    return codes[0]
+    return code
 
 
 def _run_sweep_cmd(args: argparse.Namespace) -> int:
@@ -321,11 +317,12 @@ def _dispatch(args: argparse.Namespace) -> int:
     if curve_out is None:
         _reject_given(args, ("curve_points",), "read only with --curve-out")
     params, spec = _resolve(args, QUANTITIES[quantities[0]].eps_b_default)
-    if curve_out is not None:
-        return _crossover_with_curve(curve_out, args.curve_points, params, spec)
     if args.command == "aniso" and args.orientation != "both":
         quantities = ("aniso_" + args.orientation,)
-    return max(run_point(quantity, params, spec) for quantity in quantities)
+    with _shared_normalisation():  # one l and one R: one Bessel table for all
+        if curve_out is not None:
+            return _crossover_with_curve(curve_out, args.curve_points, params, spec)
+        return max(run_point(quantity, params, spec) for quantity in quantities)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Literal
 
@@ -59,13 +59,13 @@ class QuadratureError(RuntimeError):
 class QuadratureSpec:
     """Tolerances, x truncation and p substitution of the engine.
 
-    ``x_max=None`` derives the x-axis truncation from ``abs_tol`` so the
+    ``x_max`` is derived, never set: max(40, 10 - ln abs_tol), so the
     exponential tail stays below the requested absolute tolerance.
     """
 
     rel_tol: float = 1.0e-8
     abs_tol: float = 1.0e-12
-    x_max: float | None = None
+    x_max: float = field(init=False)
     p_transform: PTransform = "hyperbolic"
 
     def __post_init__(self) -> None:
@@ -73,11 +73,8 @@ class QuadratureSpec:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
         if self.abs_tol < 0.0:
             raise ValueError(f"abs_tol must be >= 0, got {self.abs_tol}")
-        if self.x_max is None:  # an e^-x tail below abs_tol, and never below 40
-            tail = -math.log(self.abs_tol) + 10.0 if self.abs_tol > 0.0 else 0.0
-            object.__setattr__(self, "x_max", max(40.0, tail))
-        if self.x_max <= 0.0:
-            raise ValueError(f"x_max must be > 0, got {self.x_max}")
+        tail = -math.log(self.abs_tol) + 10.0 if self.abs_tol > 0.0 else 0.0
+        object.__setattr__(self, "x_max", max(40.0, tail))
         if self.p_transform not in _P_RULES:
             raise ValueError(f"unknown p_transform {self.p_transform!r}")
 
@@ -206,7 +203,7 @@ def integrate_p_axis(
         dp = np.concatenate((dp, dp_new))
         grid = values[: x.size, : p.size]
         grid[:, npp:] = _block(kernel, x, p[npp:], q[npp:])
-        if x.size > nx:
+        if x.size > nx and npp:  # level 0 has no earlier p nodes
             grid[nx:, :npp] = _block(kernel, x[nx:], p[:npp], q[:npp])
         evaluations += grid.size - nx * npp
         wx = dx * (_X_STEP / 2 ** level if with_x else 1.0)

@@ -26,12 +26,13 @@ nanotube surfaces) as fixed grids over the same quantities.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -141,12 +142,12 @@ class SweepRequest:
 class Quantity:
     """Everything the sweep, point and CLI code know about one quantity.
 
-    Both callables take a grid's ``params``, a number or an array over the
-    rows per parameter.  ``slab(params, name)`` builds and checks the
-    evaluator's input for the whole grid without any quadrature, so a grid
-    is validated before its first row is computed.  ``evaluate(params,
-    slab, spec)`` returns a dict holding at least ``columns``, each a
-    number (standing for every row), an array or a list.
+    ``slab(params, name)`` builds and checks the evaluator's input for a
+    whole grid, ``params`` a number or an array over the rows per
+    parameter, without quadrature, so no row fails once one is computed.
+    ``evaluate(params, slab, spec)`` returns a dict with at least
+    ``columns``: one row's values for a quantity that ``integrates``, else
+    a number (standing for every row), array or list per column of the grid.
     """
 
     requires: tuple[str, ...]
@@ -155,7 +156,7 @@ class Quantity:
     evaluate: Callable[[dict, object, QuadratureSpec], dict]
     columns: tuple[str, ...] = FORCE_COLUMNS
     eps_b_default: float = 9.0  # 10 for the nanotube-array quantities
-    integrates: bool = True  # reads the quadrature spec
+    integrates: bool = True  # reads the quadrature spec, one row at a time
 
     @property
     def params(self) -> tuple[str, ...]:
@@ -219,25 +220,6 @@ def _rows(columns: dict, shape: tuple) -> list[dict]:
     return [dict(zip(columns, row)) for row in zip(*lists)]
 
 
-def _each_row(evaluate: Callable[[dict, object, QuadratureSpec], dict]):
-    """The ``Quantity.evaluate`` of an integrating quantity: ``evaluate``
-    runs at each grid row, with that row's numbers and its own slab, and
-    its outputs are gathered into one list per column (plain values for a
-    point).  Row slabs repeat the grid's check, a cost the quadrature hides."""
-
-    def columns(params: dict, slab, spec: QuadratureSpec) -> dict:
-        shape = np.broadcast_shapes(*map(np.shape, params.values()))  # () or (n,)
-        slabs = itertools.repeat(None) if slab is None else (
-            type(slab)(**fields) for fields in _rows(vars(slab), shape))
-        rows = zip(_rows(params, shape), slabs)
-        outputs = [evaluate(row, row_slab, spec) for row, row_slab in rows]
-        if not shape:
-            return outputs[0]
-        return {name: [out[name] for out in outputs] for name in outputs[0]}
-
-    return columns
-
-
 def _force_columns(result: ForceResult) -> dict:
     return dict(zip(FORCE_COLUMNS, vars(result).values()))  # fields in this order
 
@@ -298,8 +280,8 @@ QUANTITIES = {
     ),
     "iso_nonlocal": Quantity(
         _FILM, _SURROUNDINGS, _iso_slab,
-        _each_row(lambda p, slab, spec: _force_columns(
-            nonlocal_isotropic_ratio(slab, p["l"], spec))),
+        lambda p, slab, spec: _force_columns(
+            nonlocal_isotropic_ratio(slab, p["l"], spec)),
     ),
     "iso_thin": Quantity(
         _FILM, _SURROUNDINGS, _iso_slab,
@@ -308,23 +290,23 @@ QUANTITIES = {
     ),
     "aniso_parallel": Quantity(
         _ARRAY, _ARRAY_OPTIONAL, array_slab,
-        _each_row(lambda p, slab, spec: _force_columns(
-            f_parallel_ratio(slab, p["l"], spec))),
+        lambda p, slab, spec: _force_columns(
+            f_parallel_ratio(slab, p["l"], spec)),
         eps_b_default=10.0,
     ),
     "aniso_perp": Quantity(
         _ARRAY, _ARRAY_OPTIONAL, array_slab,
-        _each_row(lambda p, slab, spec: _force_columns(
-            f_perp_ratio(slab, p["l"], spec))),
+        lambda p, slab, spec: _force_columns(
+            f_perp_ratio(slab, p["l"], spec)),
         eps_b_default=10.0,
     ),
     "main_terms": Quantity(
         ("eps_b",), (), lambda params, name: _require_background(params["eps_b"]),
-        _each_row(_main_terms), MAIN_TERMS, eps_b_default=10.0,
+        _main_terms, MAIN_TERMS, eps_b_default=10.0,
     ),
     "crossover": Quantity(
         ("l", "d_min", "d_max", "radius", "eps_b", "omega_p"),
-        ("delta", *_SURROUNDINGS), _crossover_template, _each_row(_crossover),
+        ("delta", *_SURROUNDINGS), _crossover_template, _crossover,
         ("crossover_d_nm", "crossover_d_error_nm", "sign_low", "sign_high",
          "iterations"), eps_b_default=10.0,
     ),
@@ -360,10 +342,23 @@ def evaluate_quantity(quantity: str, params: dict, spec: QuadratureSpec,
                       slab=_UNCHECKED) -> dict:
     """Compute a grid, ``params`` a number or an array over the rows per
     parameter, into a number, array or list per output column.  ``slab``
-    is the grid's input from ``_check_grid``; without it, it is built here."""
+    is the grid's input from ``_check_grid``; without it, it is built here.
+    An integrating quantity runs row by row, each row with its own slab
+    (repeating the grid's check, a cost the quadrature hides), into one
+    list per column, or plain values for a point."""
+    record = _record(quantity)
     if slab is _UNCHECKED:
         slab = _check_grid(quantity, params)
-    return _record(quantity).evaluate(params, slab, spec)
+    if not record.integrates:
+        return record.evaluate(params, slab, spec)
+    shape = np.broadcast_shapes(*map(np.shape, params.values()))  # () or (n,)
+    slabs = itertools.repeat(None) if slab is None else (
+        type(slab)(**fields) for fields in _rows(vars(slab), shape))
+    rows = zip(_rows(params, shape), slabs)
+    outputs = [record.evaluate(row, row_slab, spec) for row, row_slab in rows]
+    if not shape:
+        return outputs[0]
+    return {name: [out[name] for out in outputs] for name in outputs[0]}
 
 
 def format_value(value) -> str:
@@ -405,19 +400,16 @@ def write_manifest(output_path: str | Path, payload: dict) -> Path:
     return manifest_path
 
 
-def write_outputs(
-    request: SweepRequest,
-    spec: QuadratureSpec,
-    names: Sequence[str],
-    columns: Iterable[Sequence],
-) -> dict:
-    """Compute ``columns`` and write the table and its manifest atomically.
+@contextlib.contextmanager
+def write_outputs(request: SweepRequest, spec: QuadratureSpec, names: Sequence[str]):
+    """A ``with`` block that writes a table and its manifest atomically.
 
-    ``columns`` may be a generator.  It is consumed only once a temporary
-    file exists in the target directory, so a missing or unwritable
-    directory fails before any point is computed.  Table and manifest
-    are renamed into place only when both are complete; on any error the
-    temporary files are removed and earlier outputs keep their bytes.
+    Entering creates a temporary file in the target directory, so a
+    missing or unwritable directory fails before any point is computed.
+    The block computes the columns and passes them to the ``write(columns)
+    -> summary`` it gets.  Table and manifest are renamed into place when
+    the block completes; on any error the temporary files are removed and
+    earlier outputs keep their bytes.
     """
     target = Path(request.output_path)
     manifest_target = Path(str(request.output_path) + ".manifest.json")
@@ -428,11 +420,11 @@ def write_outputs(
     except OSError as exc:
         exc.filename = str(target)  # name the output, not its temporary file
         raise
-    try:
-        columns = list(columns)
+
+    def write(columns: Sequence[Sequence]) -> dict:
         rows = len(columns[0])
         write_table(tmp, names, columns, request.format)
-        payload = {
+        write_manifest(tmp, {
             "tool": "casimir-slabs",
             "version": __version__,
             "quantity": request.quantity,
@@ -445,19 +437,21 @@ def write_outputs(
             "columns": list(names),
             "rows": rows,
             "output": target.name,
+        })
+        return {
+            "rows": rows,
+            "output": str(request.output_path),
+            "manifest": str(manifest_target),
         }
-        write_manifest(tmp, payload)
+
+    try:
+        yield write
         os.replace(tmp, target)
         os.replace(tmp_manifest, manifest_target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         tmp_manifest.unlink(missing_ok=True)
         raise
-    return {
-        "rows": rows,
-        "output": str(request.output_path),
-        "manifest": str(manifest_target),
-    }
 
 
 def _check_and_write(
@@ -473,15 +467,13 @@ def _check_and_write(
     outputs of each quantity, evaluated once per grid."""
     slabs = [_check_grid(quantity, params) for quantity, _ in cells]
     rows = len(leading[0]) if leading else 1
-
-    def columns():
-        yield from leading
+    with write_outputs(request, spec, names) as write:
+        columns = list(leading)
         for (quantity, outputs), slab in zip(cells, slabs):
             values = evaluate_quantity(quantity, params, spec, slab)
-            for name in outputs:
-                yield np.broadcast_to(np.asarray(values[name]), (rows,))
-
-    return write_outputs(request, spec, names, columns())
+            columns += [np.broadcast_to(np.asarray(values[name]), (rows,))
+                        for name in outputs]
+        return write(columns)
 
 
 def _product(*grids: Sequence) -> list[np.ndarray]:

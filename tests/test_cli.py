@@ -592,6 +592,39 @@ class TestColumnEvaluation:
         assert len(built) == 1
         assert np.shape(built[0].thickness_d) == (30 * 40,)
 
+    @pytest.mark.parametrize(
+        "quantity, function, grid",
+        [
+            ("iso_nonlocal", "nonlocal_isotropic_ratio",
+             {"l": [500.0, 1000.0], "d": 10.0, "eps_b": 9.0}),
+            ("aniso_parallel", "f_parallel_ratio",
+             {"l": [500.0, 1000.0], "radius": 2.0, "layers": 5, "eps_b": 10.0}),
+            ("aniso_perp", "f_perp_ratio",
+             {"l": [500.0, 1000.0], "radius": 2.0, "layers": 5, "eps_b": 10.0}),
+            ("main_terms", "main_term_parallel", {"eps_b": [10.0, 20.0]}),
+            ("crossover", "crossover_thickness",
+             {"l": [900.0, 1000.0], "d_min": 40.0, "d_max": 50.0, "radius": 2.0,
+              "eps_b": 10.0}),
+        ],
+    )
+    def test_integrating_rows_call_the_library_by_its_sweep_name(
+        self, monkeypatch, fast_spec, quantity, function, grid
+    ):
+        # An integrating quantity runs once per row, and reads the library
+        # function from the sweep module at call time, so a replacement
+        # there (a tracer's counter, say) sees every row.
+        library, calls = getattr(sweep, function), []
+
+        def counted(*args):
+            calls.append(args)
+            return library(*args)
+
+        monkeypatch.setattr(sweep, function, counted)
+        params = {"omega_p": 2e16, **{k: np.asarray(v) for k, v in grid.items()}}
+        values = evaluate_quantity(quantity, params, fast_spec)
+        assert len(calls) == 2
+        assert all(len(column) == 2 for column in values.values())
+
 
 class TestCrossoverCommand:
     def test_inverted_range(self, capsys):
@@ -641,6 +674,43 @@ class TestCrossoverCommand:
         assert code == 4
         assert "RESULT" not in out
         assert calls == []
+
+
+BRACKET = ["--l-nm", "1000", "--d-min-nm", "40", "--d-max-nm", "50", *FAST]
+
+
+@pytest.mark.parametrize(
+    "argv, alone",
+    [
+        (["crossover", *BRACKET, "--curve-out", "curve.csv", "--curve-points", "3"],
+         ["crossover", *BRACKET]),
+        (["aniso", "--layers", "5", "--l-nm", "1000", *FAST],
+         ["aniso", "--layers", "5", "--l-nm", "1000", "--orientation", "perp", *FAST]),
+    ],
+)
+def test_point_command_shares_one_bessel_table(capsys, tmp_path, monkeypatch, argv,
+                                               alone):
+    # A point command has one l and one R, so the curve rows reuse the
+    # search's Bessel normalisations, and the second orientation the
+    # first's: each costs no more Bessel calls than the search or one
+    # orientation alone.
+    from casimir_slabs import response
+
+    bessel, blocks = response.bessel_i0k0_product, []
+
+    def counting(z):
+        blocks.append(z.tobytes())
+        return bessel(z)
+
+    monkeypatch.setattr(response, "bessel_i0k0_product", counting)
+    monkeypatch.chdir(tmp_path)  # where the curve is written
+    counts = []
+    for command in (alone, argv):
+        blocks.clear()
+        assert run(capsys, *command)[0] == 0
+        assert len(set(blocks)) == len(blocks)
+        counts.append(len(blocks))
+    assert counts[1] == counts[0]
 
 
 class TestPresets:

@@ -41,6 +41,12 @@ class TestSpecValidation:
         spec = QuadratureSpec(abs_tol=1e-30)
         assert spec.x_max == pytest.approx(-math.log(1e-30) + 10.0)
 
+    def test_tightened_spec_equals_one_built_with_its_tolerances(self):
+        # x_max follows the tightened abs_tol, as in a spec built directly
+        tight = QuadratureSpec(abs_tol=1e-19).tightened()
+        assert tight.x_max == pytest.approx(-math.log(1e-20) + 10.0)
+        assert tight == QuadratureSpec(rel_tol=tight.rel_tol, abs_tol=tight.abs_tol)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -53,8 +59,10 @@ class TestSpecValidation:
         ],
     )
     def test_invalid(self, kwargs):
-        # max_subdivisions is no field of the engine's spec any more
-        error = TypeError if "max_subdivisions" in kwargs else ValueError
+        # max_subdivisions is no field of the engine's spec any more, and
+        # x_max is derived from abs_tol, never passed
+        unknown = {"x_max", "max_subdivisions"} & kwargs.keys()
+        error = TypeError if unknown else ValueError
         with pytest.raises(error):
             QuadratureSpec(**kwargs)
 
@@ -194,6 +202,20 @@ class TestDoubleIntegral:
         res = integrate_xp(lambda x, p, q: np.nan * x * p, spec)
         assert not res.converged
         assert res.error_estimate == math.inf
+
+    @pytest.mark.parametrize("with_x", [False, True])
+    def test_kernel_never_gets_an_empty_block(self, spec, with_x):
+        # Level 0 has no earlier p nodes to pair with its x nodes, so the
+        # engine must not call the kernel on an (n, 0) block there.
+        shapes = []
+
+        def f(*args):  # (p, q), or (x, p, q) with x: 1/p^2, or e^-x/p^2
+            shapes.append(np.broadcast_shapes(*map(np.shape, args)))
+            return np.exp(-args[0] * with_x) / args[-2] ** 2
+
+        res = integrate_p_axis(f, spec=spec, with_x=with_x)
+        assert res.converged and len(shapes) > 1
+        assert all(0 not in shape for shape in shapes), shapes
 
     def test_result_is_deterministic(self, spec):
         f = lambda x, p, q: np.exp(-x) * (p * p + 1.0) / p ** 4
