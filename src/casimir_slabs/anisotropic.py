@@ -41,7 +41,7 @@ __all__ = [
 
 
 def _check_background(p, eps_b: float) -> None:
-    if np.any(p < 1.0):
+    if not np.all(p >= 1.0):
         raise ValueError(f"p must be >= 1, got {np.min(p)}")
     _require_background(eps_b)
 

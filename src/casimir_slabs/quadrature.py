@@ -49,6 +49,7 @@ _X_STEP = 0.5  # level-0 step on the x axis
 _P_RULES = {"hyperbolic": (40.0, 0.5), "shifted-square": (1.0e5, 0.125)}
 _MAX_LEVEL = 5  # the last level's x step is 1/64
 _ROUNDOFF = 8.0 * sys.float_info.epsilon
+_TIGHTEN = 10.0  # tightened() divides both tolerances by this
 
 
 class QuadratureError(RuntimeError):
@@ -69,19 +70,19 @@ class QuadratureSpec:
     p_transform: PTransform = "hyperbolic"
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0:
+        if not self.rel_tol > 0.0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.abs_tol < 0.0:
+        if not self.abs_tol >= 0.0:
             raise ValueError(f"abs_tol must be >= 0, got {self.abs_tol}")
         tail = -math.log(self.abs_tol) + 10.0 if self.abs_tol > 0.0 else 0.0
         object.__setattr__(self, "x_max", max(40.0, tail))
         if self.p_transform not in _P_RULES:
             raise ValueError(f"unknown p_transform {self.p_transform!r}")
 
-    def tightened(self, factor: float = 10.0) -> "QuadratureSpec":
-        """Same spec with both tolerances divided by ``factor``."""
+    def tightened(self) -> "QuadratureSpec":
+        """Same spec with both tolerances divided by _TIGHTEN."""
         return replace(
-            self, rel_tol=self.rel_tol / factor, abs_tol=self.abs_tol / factor
+            self, rel_tol=self.rel_tol / _TIGHTEN, abs_tol=self.abs_tol / _TIGHTEN
         )
 
 

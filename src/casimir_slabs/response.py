@@ -7,9 +7,9 @@ isotropic film and of the aligned-nanotube array, the (x, p) -> k
 mapping used inside the force integrands, the half-space Fresnel pair
 and the local Drude permittivity evaluated at omega = i*xi.
 
-Lengths are nm, angular frequencies s^-1.  All functions are pure; the
-table of tube normalisations that a force call may share between its
-integrals lives only as long as that call and changes no value.
+Lengths are nm, angular frequencies s^-1.  All functions are pure; a
+table of tube normalisations shared by the integrals of one scope (see
+_shared_normalisation) lives only as long as that scope, changing no value.
 """
 
 from __future__ import annotations
@@ -199,10 +199,9 @@ def _tube_factor(k, slab: NanotubeArraySlab):
     sqrt(2 z I0(z) K0(z)), z = k R, for k > 0.
 
     The normalisation depends on k and R but not on the thickness, so
-    inside a _shared_normalisation scope (each orientation_forces call
-    and each crossover_thickness search) it is computed once per node
-    block and shared by both orientations and every probe; the table
-    ends with the call that opened the scope."""
+    inside a _shared_normalisation scope (an orientation_forces call, a
+    crossover_thickness search, a whole point command of cli) it is
+    computed once per node block and kept until the outermost scope ends."""
     z = k * slab.radius_R
     return _film_factor(k, slab) / _tube_normalisation(z)
 
@@ -210,7 +209,7 @@ def _tube_factor(k, slab: NanotubeArraySlab):
 def _plasma_freq(k, slab: Slab, factor: Callable):
     """omega_p3d / factor(k) for k > 0, and 0 at k = 0 by continuity."""
     k = np.asarray(k, dtype=float)
-    if np.any(k < 0.0):
+    if not np.all(k >= 0.0):
         raise ValueError(f"momentum must be >= 0, got {np.min(k)}")
     zero = k == 0.0
     omega = slab.omega_p3d / factor(np.where(zero, 1.0, k), slab)
@@ -260,7 +259,7 @@ def drude_eps_imaginary_axis(xi, omega_p: float, eps_b: float, delta: float = 0.
     response function must be on the imaginary axis.  The static point
     xi = 0 is a pole and rejected.
     """
-    if np.any(xi <= 0.0):
+    if not np.all(xi > 0.0):
         raise ValueError(f"xi must be > 0, got {np.min(xi)}")
     return eps_b + omega_p * omega_p / (xi * (xi + delta))
 

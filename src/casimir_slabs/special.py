@@ -35,7 +35,7 @@ def bessel_i0k0_product(z):
     """
     from scipy.special import i0e, k0e
 
-    if np.any(z <= 0.0):
+    if not np.all(z > 0.0):
         raise ValueError(f"bessel_i0k0_product requires z > 0, got {np.min(z)}")
     return i0e(z) * k0e(z)
 
@@ -62,6 +62,6 @@ def bose_integral(s: float) -> float:
     against d/dx[-1/(e^x-1)].  Diverges for s <= 1, where the integrand
     behaves as x^(s-2) at the origin.
     """
-    if s <= 1.0:
+    if not s > 1.0:
         raise ValueError(f"bose_integral requires s > 1, got {s}")
     return math.gamma(s + 1.0) * _zeta(s)

@@ -52,7 +52,7 @@ from .lifshitz import (
     thin_limit_ratio,
 )
 from .quadrature import QuadratureSpec
-from .response import IsotropicSlab, NanotubeArraySlab, _require_background
+from .response import IsotropicSlab, NanotubeArraySlab, _require, _require_background
 from .validity import DEFAULT_THRESHOLD, applicability_report
 
 __all__ = [
@@ -142,12 +142,13 @@ class SweepRequest:
 class Quantity:
     """Everything the sweep, point and CLI code know about one quantity.
 
-    ``slab(params, name)`` builds and checks the evaluator's input for a
-    whole grid, ``params`` a number or an array over the rows per
-    parameter, without quadrature, so no row fails once one is computed.
-    ``evaluate(params, slab, spec)`` returns a dict with at least
-    ``columns``: one row's values for a quantity that ``integrates``, else
-    a number (standing for every row), array or list per column of the grid.
+    ``slab(params, name)`` builds and checks the evaluator's input,
+    without quadrature, for a grid (``params`` a number or an array over
+    the rows per parameter), so no row fails once one is computed, and
+    for each row of a quantity that ``integrates``.  ``evaluate(params,
+    slab, spec)`` returns a dict with at least ``columns``: one row's
+    values for a quantity that ``integrates``, else a number (standing
+    for every row), array or list per column of the grid.
     """
 
     requires: tuple[str, ...]
@@ -161,12 +162,6 @@ class Quantity:
     @property
     def params(self) -> tuple[str, ...]:
         return self.requires + self.optional
-
-
-def _require(params: dict, keys: Sequence[str], quantity: str) -> None:
-    missing = [k for k in keys if params.get(k) is None]
-    if missing:
-        raise UsageError(f"{quantity} requires parameters: {', '.join(missing)}")
 
 
 def _surroundings(params: dict) -> dict:
@@ -192,7 +187,10 @@ def array_slab(params: dict, quantity: str) -> NanotubeArraySlab:
     if d is None:
         if layers is None:
             raise UsageError(f"{quantity} requires either d or layers")
-        d = np.rint(layers) * 2.0 * radius  # n monolayers of diameter 2R
+        whole = np.rint(layers)
+        _require(np.abs(layers - whole) <= 1e-9 * np.abs(whole),
+                 quantity + ": layers must be whole numbers, got {}", layers)
+        d = whole * 2.0 * radius  # n monolayers of diameter 2R
     return NanotubeArraySlab(
         omega_p3d=params["omega_p"],
         radius_R=radius,
@@ -329,33 +327,31 @@ def _check_grid(quantity: str, params: dict):
     """Check a grid's parameters and build its slab for all rows at once,
     with the evaluators' own checks, so no row fails once one is computed."""
     record = _record(quantity)
-    _require(params, record.requires, quantity)
+    missing = [k for k in record.requires if params.get(k) is None]
+    if missing:
+        raise UsageError(f"{quantity} requires parameters: {', '.join(missing)}")
     if "l" in record.params:
         casimir_pressure(params["l"])  # every evaluator's separation check
     return None if record.slab is None else record.slab(params, quantity)
 
 
-_UNCHECKED = object()
-
-
 def evaluate_quantity(quantity: str, params: dict, spec: QuadratureSpec,
-                      slab=_UNCHECKED) -> dict:
+                      slab=None) -> dict:
     """Compute a grid, ``params`` a number or an array over the rows per
     parameter, into a number, array or list per output column.  ``slab``
-    is the grid's input from ``_check_grid``; without it, it is built here.
-    An integrating quantity runs row by row, each row with its own slab
-    (repeating the grid's check, a cost the quadrature hides), into one
-    list per column, or plain values for a point."""
+    is the grid's input from ``_check_grid``; None checks the grid here.
+    An integrating quantity runs row by row, each row's input built by
+    its ``slab`` builder from that row alone (repeating the grid's check,
+    a cost the quadrature hides), into one list per column, or plain
+    values for a point."""
     record = _record(quantity)
-    if slab is _UNCHECKED:
+    if slab is None:
         slab = _check_grid(quantity, params)
     if not record.integrates:
         return record.evaluate(params, slab, spec)
     shape = np.broadcast_shapes(*map(np.shape, params.values()))  # () or (n,)
-    slabs = itertools.repeat(None) if slab is None else (
-        type(slab)(**fields) for fields in _rows(vars(slab), shape))
-    rows = zip(_rows(params, shape), slabs)
-    outputs = [record.evaluate(row, row_slab, spec) for row, row_slab in rows]
+    rows = _rows(params, shape)
+    outputs = [record.evaluate(row, record.slab(row, quantity), spec) for row in rows]
     if not shape:
         return outputs[0]
     return {name: [out[name] for out in outputs] for name in outputs[0]}

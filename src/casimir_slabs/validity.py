@@ -37,7 +37,7 @@ DEFAULT_THRESHOLD = 0.01  # largest tolerated relative coefficient deviation
 
 def plasma_skin_depth_nm(omega_p: float) -> float:
     """Field penetration scale c/omega_p in nm."""
-    if omega_p <= 0.0:
+    if not omega_p > 0.0:
         raise ValueError(f"omega_p must be > 0, got {omega_p}")
     return C_NM_PER_S / omega_p
 
@@ -78,7 +78,7 @@ def film_reflection_coeffs(
     -2 d (omega_p/c) sqrt(1 + xi^2 (eps_b - 1 + p^2)/omega_p^2),
     so E is suppressed once 2 d omega_p/c > 1.  R -> r as d -> inf.
     """
-    if d <= 0.0:
+    if not d > 0.0:
         raise ValueError(f"thickness must be > 0, got {d} nm")
     return _halfspace_and_film(x, p, l, d, eps_fn)[1]
 
@@ -110,7 +110,7 @@ def applicability_report(
     c/(2 l omega_p) < 1 (separation in the long-range regime).
     """
     casimir_pressure(l)  # the separation check
-    if threshold <= 0.0:
+    if not threshold > 0.0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
 
     fields = (slab.omega_p3d, slab.eps_b, slab.thickness_d, l)

@@ -58,6 +58,11 @@ class TestBackgroundFactors:
     def test_p_domain(self):
         with pytest.raises(ValueError):
             phi(0.5, 9.0)
+        for p in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError):
+                phi(p, 9.0)
+            with pytest.raises(ValueError):
+                psi(p, 9.0)
 
     def test_reciprocals_of_the_halfspace_pair(self):
         # phi = 1/r_s and psi = 1/r_p of a half-space of permittivity eps_b

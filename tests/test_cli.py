@@ -230,6 +230,9 @@ def test_flag_table_matches_quantities():
         "sweep --quantity casimir --axis l:0:2:3:log --out {tmp}/x.csv",
         # an array thickness given neither as d nor as layers
         "aniso --l-nm 1000",
+        # a layers axis through counts that are not whole (1.667, 2.333)
+        "sweep --quantity aniso_parallel --axis layers:1:3:4 --l-nm 1000 "
+        "--out {tmp}/x.csv",
     ],
 )
 def test_unread_or_unusable_input_is_usage_error(capsys, tmp_path, argv):
@@ -531,6 +534,18 @@ class TestSweep:
         )
         assert code == 2
 
+    def test_layers_are_whole_to_within_rounding(self):
+        # geomspace's 4th point of layers:1:16:5:log is 7.999999999999999,
+        # a count of 8; 1.5 is no count of monolayers at all
+        layers = sweep.SweepAxis("layers", 1.0, 16.0, 5, "log").grid()
+        assert layers[3] != 8.0
+        params = {"radius": 2.0, "layers": layers, "eps_b": 10.0, "omega_p": 2e16}
+        slab = sweep.array_slab(params, "aniso_perp")
+        assert slab.thickness_d.tolist() == [4.0, 8.0, 16.0, 32.0, 64.0]
+        with pytest.raises(ValueError, match="aniso_perp: layers must be whole "
+                                             "numbers, got 1.5"):
+            sweep.array_slab({**params, "layers": np.array([1.0, 1.5])}, "aniso_perp")
+
 
 # Closed-form sweeps with their fixed flags set away from the defaults.
 CLOSED_FORM_GRIDS = [
@@ -547,10 +562,26 @@ CLOSED_FORM_GRIDS = [
         ["--eps-b", "7", "--eps-sub", "1.2", "--eps-sup", "3", "--threshold", "0.05"],
     ),
 ]
+# Integrating sweeps, whose rows each build their own slab.
+INTEGRATING_GRIDS = [
+    (
+        "aniso_parallel",
+        ["--axis", "R:0.5:3:3"],
+        ["--l-nm", "1000", "--d-nm", "12", "--delta-nm", "7", *FAST],
+    ),
+    ("aniso_perp", ["--axis", "layers:1:3:3"], ["--l-nm", "1000", *FAST]),
+]
+
+
+def point_command(quantity):
+    if quantity.startswith("aniso_"):
+        return ["aniso", "--orientation", quantity.removeprefix("aniso_")]
+    return [quantity.replace("_", "-")]
 
 
 class TestColumnEvaluation:
-    @pytest.mark.parametrize("quantity, axes, fixed", CLOSED_FORM_GRIDS)
+    @pytest.mark.parametrize("quantity, axes, fixed",
+                             CLOSED_FORM_GRIDS + INTEGRATING_GRIDS)
     def test_json_rows_are_the_point_results(self, capsys, tmp_path, quantity, axes,
                                              fixed):
         # A grid is evaluated as arrays, a point as numbers: every row must
@@ -560,14 +591,18 @@ class TestColumnEvaluation:
         assert main([*argv, "--format", "json"]) == 0
         capsys.readouterr()
         table = json.loads(out.read_text())
-        flags = {"d_nm": "--d-nm", "l_nm": "--l-nm"}
+        flags = {"d_nm": "--d-nm", "l_nm": "--l-nm", "radius_nm": "--radius-nm",
+                 "layers": "--layers"}
         outputs = sweep.QUANTITIES[quantity].columns
         assert len(table["rows"]) == math.prod(int(a.split(":")[3]) for a in axes[1::2])
         for row in table["rows"]:
             cells = dict(zip(table["columns"], row))
-            point = [quantity.replace("_", "-"), *fixed]
+            point = [*point_command(quantity), *fixed]
             for column in set(flags) & set(cells):
-                point += [flags[column], repr(cells[column])]
+                value = cells[column]
+                if column == "layers":  # the flag takes an integer
+                    value = int(value)
+                point += [flags[column], repr(value)]
             code, stdout, _ = run(capsys, *point)
             assert code == 0
             record = result_records(stdout)[0]

@@ -56,6 +56,8 @@ class TestSpecValidation:
             {"x_max": -1.0},
             {"max_subdivisions": 0},
             {"p_transform": "sinh"},
+            {"rel_tol": math.nan},
+            {"abs_tol": math.nan},
         ],
     )
     def test_invalid(self, kwargs):

@@ -195,6 +195,8 @@ class TestVectorisedPlasmaFrequencies:
     def test_negative_entry_rejected(self, fn, slab_fixture, request):
         with pytest.raises(ValueError):
             fn(np.array([0.0, 0.1, -1e-9]), request.getfixturevalue(slab_fixture))
+        with pytest.raises(ValueError):
+            fn(np.array([0.0, 0.1, math.nan]), request.getfixturevalue(slab_fixture))
 
 
 class TestFresnelPair:
@@ -259,6 +261,8 @@ class TestNanotubePlasmaFrequency:
     def test_negative_momentum_rejected(self, tube_array):
         with pytest.raises(ValueError):
             plasma_freq_nanotube(-1.0, tube_array)
+        with pytest.raises(ValueError):
+            plasma_freq_nanotube(math.nan, tube_array)
 
 
 class TestDrude:
@@ -272,7 +276,7 @@ class TestDrude:
         # eps_b = 9, wp = 2e16, xi = 1e15 -> 9 + 400
         assert drude_eps_imaginary_axis(1e15, 2e16, 9.0) == pytest.approx(409.0)
 
-    @pytest.mark.parametrize("xi", [0.0, -1e10])
+    @pytest.mark.parametrize("xi", [0.0, -1e10, math.nan])
     def test_static_pole_rejected(self, xi):
         with pytest.raises(ValueError):
             drude_eps_imaginary_axis(xi, OMEGA_P, 9.0)

@@ -57,7 +57,7 @@ class TestBesselProduct:
         values = [bessel_i0k0_product(z) for z in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("z", [0.0, -1.0, -1e-9])
+    @pytest.mark.parametrize("z", [0.0, -1.0, -1e-9, math.nan])
     def test_domain_error(self, z):
         with pytest.raises(ValueError):
             bessel_i0k0_product(z)
@@ -87,7 +87,7 @@ class TestBoseIntegral:
         assert bose_integral(2.0) == pytest.approx(brute, rel=1e-9)
         assert bose_integral(2.0) == pytest.approx(2.0 * math.pi ** 2 / 6.0, rel=1e-12)
 
-    @pytest.mark.parametrize("s", [1.0, 0.5, 0.0, -2.0])
+    @pytest.mark.parametrize("s", [1.0, 0.5, 0.0, -2.0, math.nan])
     def test_domain_error(self, s):
         with pytest.raises(ValueError):
             bose_integral(s)

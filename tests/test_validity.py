@@ -101,7 +101,7 @@ class TestFilmCoefficients:
         assert all(a > b for a, b in zip(gaps_s, gaps_s[1:]))
         assert all(a > b for a, b in zip(gaps_p, gaps_p[1:]))
 
-    @pytest.mark.parametrize("d", [0.0, -10.0])
+    @pytest.mark.parametrize("d", [0.0, -10.0, math.nan])
     def test_nonpositive_thickness_rejected(self, d):
         with pytest.raises(ValueError, match="thickness must be > 0"):
             film_reflection_coeffs(1.0, 2.0, 1000.0, d, DRUDE)
@@ -191,6 +191,8 @@ class TestApplicabilityReport:
             applicability_report(film(20.0), -1.0)
         with pytest.raises(ValueError):
             applicability_report(film(20.0), 1000.0, threshold=0.0)
+        with pytest.raises(ValueError):
+            applicability_report(film(20.0), 1000.0, threshold=math.nan)
 
     def test_grid_report_equals_its_scalar_reports(self):
         d, l = np.array([2.0, 10.0, 20.0, 200.0]), np.array([2.0, 100.0, 1000.0, 5000.0])
@@ -215,3 +217,5 @@ class TestSkinDepth:
     def test_domain(self):
         with pytest.raises(ValueError):
             plasma_skin_depth_nm(0.0)
+        with pytest.raises(ValueError):
+            plasma_skin_depth_nm(math.nan)
