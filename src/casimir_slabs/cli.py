@@ -13,6 +13,7 @@ Exit codes: 0 success (crossover found), 1 crossover not found,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -151,6 +152,7 @@ def _add_flags(parser: argparse.ArgumentParser, dests: Sequence[str]) -> None:
         )
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="casimir-slabs",

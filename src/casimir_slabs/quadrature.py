@@ -70,10 +70,10 @@ class QuadratureSpec:
     p_transform: PTransform = "hyperbolic"
 
     def __post_init__(self) -> None:
-        if not self.rel_tol > 0.0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if not self.abs_tol >= 0.0:
-            raise ValueError(f"abs_tol must be >= 0, got {self.abs_tol}")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
+        if not 0.0 <= self.abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be finite and >= 0, got {self.abs_tol}")
         tail = -math.log(self.abs_tol) + 10.0 if self.abs_tol > 0.0 else 0.0
         object.__setattr__(self, "x_max", max(40.0, tail))
         if self.p_transform not in _P_RULES:

@@ -13,10 +13,12 @@ column: the closed forms as array expressions, the integrating
 quantities row by row.  A point is a grid of numbers, on the same path.
 
 A sweep names a quantity, fixes the remaining parameters, and walks up
-to two axes in deterministic axis-major order.  Every output file gets a
-sibling ``<name>.manifest.json`` recording the fixed parameters, the
-tool version and the quadrature settings, so a run can be reproduced
-byte for byte.  Both files are written under temporary names in the
+to two axes in deterministic axis-major order.  A CSV table is filled
+from one row template, each repeated float (an axis value, a constant
+column) formatted once.  Every output file gets a sibling
+``<name>.manifest.json`` recording the fixed parameters, the tool
+version and the quadrature settings, so a run can be reproduced byte
+for byte.  Both files are written under temporary names in the
 target directory and renamed into place only when complete, so a failed
 run leaves earlier outputs untouched.  The ``PRESETS`` records describe
 the data behind the standard plots (main terms vs 1/eps_b, the isotropic
@@ -86,6 +88,7 @@ FORCE_COLUMNS = ("ratio_to_casimir", "pressure_pa", "error_estimate", "validity"
 MAIN_TERMS = ("main_parallel", "main_perp")
 _ORIENTED = ("ratio_to_casimir", "error_estimate", "validity")  # fig4, per orientation
 _SURROUNDINGS = ("eps_sub", "eps_sup")
+CELL_FORMAT = "%.10g"  # a float cell: 10 significant digits, locale-free
 
 
 @dataclass(frozen=True)
@@ -364,26 +367,35 @@ def format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.10g}"
+        return CELL_FORMAT % value
     return str(value)
 
 
-def _cells(column) -> list[str]:
-    """format_value over a whole column: floats and strings in one pass."""
+def _cells(column) -> tuple[str, list]:
+    """A column's ``%`` spec and cells, as format_value writes them; floats
+    that repeat are formatted once per bit pattern (-0.0 apart from 0.0)."""
     values = np.asarray(column)
     if values.dtype.kind == "U":
-        return values.tolist()
-    fmt = "{:.10g}".format if values.dtype.kind == "f" else format_value
-    return list(map(fmt, values.tolist()))
+        return "%s", values.tolist()
+    if values.dtype != np.float64:
+        return "%s", list(map(format_value, values.tolist()))
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if 2 * len(distinct) >= len(values):
+        return CELL_FORMAT, values.tolist()
+    texts = [CELL_FORMAT % value for value in distinct.view(np.float64).tolist()]
+    return "%s", list(map(texts.__getitem__, inverse.tolist()))
 
 
 def write_table(path: str | Path, names: Sequence[str], columns: Sequence,
                 fmt: str = "csv") -> None:
-    """Write equal-length columns (arrays or lists) as a CSV or JSON table."""
+    """Write equal-length columns (arrays or lists) as a CSV or JSON table,
+    a CSV as one row template filled once, each repeated float formatted once."""
     path = Path(path)
     if fmt == "csv":
-        lines = [",".join(names), *map(",".join, zip(*map(_cells, columns)))]
-        path.write_text("\n".join(lines) + "\n")
+        specs, cells = zip(*map(_cells, columns))
+        template = "%s\n" + (",".join(specs) + "\n") * len(cells[0])
+        flat = (",".join(names), *itertools.chain.from_iterable(zip(*cells)))
+        path.write_text(template % flat)
     else:
         values = [np.asarray(column).tolist() for column in columns]
         payload = {"columns": list(names), "rows": [list(row) for row in zip(*values)]}

@@ -306,6 +306,47 @@ class TestConfigFile:
         assert run(capsys, "casimir", "--l-nm", "10", "--config", str(config))[0] == 2
 
 
+class TestParserIsBuiltOnce:
+    """main() reuses one parser; each call parses into a fresh namespace."""
+
+    def test_two_calls_build_one_parser(self, capsys):
+        _build_parser.cache_clear()
+        assert run(capsys, "casimir", "--l-nm", "1000")[0] == 0
+        assert run(capsys, "casimir", "--l-nm", "2000")[0] == 0
+        assert _build_parser.cache_info().misses == 1
+
+    def test_appended_axes_do_not_leak(self, capsys, tmp_path):
+        first, second = tmp_path / "dl.csv", tmp_path / "l.csv"
+        code, _, _ = run(
+            capsys, "sweep", "--quantity", "iso_thin", "--axis", "d:10:20:2",
+            "--axis", "l:500:1000:2", "--out", str(first),
+        )
+        assert code == 0
+        code, _, err = run(
+            capsys, "sweep", "--quantity", "iso_thin", "--d-nm", "10",
+            "--axis", "l:500:1000:3", "--out", str(second),
+        )
+        assert (code, err) == (0, "")
+        lines = second.read_text().splitlines()
+        assert lines[0].split(",")[0] == "l_nm"
+        assert [line.split(",")[0] for line in lines[1:]] == ["500", "750", "1000"]
+
+    def test_resolved_defaults_do_not_leak(self, capsys, tmp_path):
+        # both sweeps parse with the same subparser; the first resolves eps_b 10
+        eps_b = {}
+        for quantity, fixed in (("aniso_parallel", ["--layers", "1", *FAST]),
+                                ("iso_thin", ["--d-nm", "10"])):
+            out = tmp_path / f"{quantity}.csv"
+            code, _, _ = run(
+                capsys, "sweep", "--quantity", quantity, "--axis", "l:1000:2000:2",
+                *fixed, "--out", str(out),
+            )
+            assert code == 0
+            manifest = json.loads(with_manifest(out)[1].read_text())
+            eps_b[quantity] = manifest["fixed_params"]["eps_b"]
+        assert eps_b == {"aniso_parallel": 10.0, "iso_thin": 9.0}
+
+
 class TestSweep:
     def _sweep_args(self, out_path):
         return [

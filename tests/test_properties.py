@@ -6,6 +6,7 @@ import contextlib
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from casimir_slabs import (
 )
 from casimir_slabs.cli import main
 from casimir_slabs.constants import C_NM_PER_S
+from casimir_slabs.sweep import format_value, write_table
 
 few = settings(max_examples=40, derandomize=True, deadline=None)
 
@@ -208,3 +210,59 @@ def test_quadrature_result_lines_have_no_nan_or_infinity(command, d, l, w):
     results = [line for line in out.getvalue().splitlines() if line.startswith("RESULT")]
     assert code in (0, 2, 3)
     assert not any(word in line for line in results for word in ("NaN", "Infinity"))
+
+
+# The CSV writer: any table, written as format_value writes each cell.
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+edge_floats = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16]
+cell_text = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=4)
+scalar = st.one_of(st.none(), any_float, cell_text, st.integers(-2**63, 2**63 - 1),
+                   st.booleans())
+
+
+@st.composite
+def table_columns(draw):
+    """A table's columns: float columns with many repeats (as the axes of a
+    product grid), mostly distinct floats, broadcast (stride-0) floats,
+    int, bool, None-bearing object and string columns."""
+    n = draw(st.integers(1, 40))
+    floats = st.sampled_from(edge_floats + draw(st.lists(any_float, max_size=3)))
+    kinds = {
+        "repeated": lambda: draw(st.lists(floats, min_size=n, max_size=n)),
+        "distinct": lambda: np.array(draw(st.lists(any_float, min_size=n, max_size=n))),
+        "broadcast": lambda: np.broadcast_to(draw(any_float), (n,)),
+        "int": lambda: np.array(draw(st.lists(st.integers(-2**63, 2**63 - 1),
+                                              min_size=n, max_size=n))),
+        "bool": lambda: np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+        "object": lambda: [None, *draw(st.lists(scalar, min_size=n - 1, max_size=n - 1))],
+        "string": lambda: np.array(draw(st.lists(cell_text, min_size=n, max_size=n))),
+    }
+    chosen = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=6))
+    return [kinds[kind]() for kind in chosen]
+
+
+def _expected_csv(names, columns):
+    values = [column if isinstance(column, list) else column.tolist()
+              for column in columns]
+    rows = [names, *zip(*values)]
+    return "".join(",".join(map(format_value, row)) + "\n" for row in rows)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(table_columns())
+@example([[-0.0, 0.0] * 20, np.broadcast_to(-0.0, (40,)), np.arange(40.0) % 3])
+@example([edge_floats * 6, np.array(edge_floats * 6), np.arange(42)])
+@example([[1e16], np.array([math.nan]), np.array([True]), [None], np.array(["%s"])])
+def test_csv_rows_are_format_value_of_each_cell(tmp_path_factory, columns):
+    names = [f"c{i}%s" for i in range(len(columns))]
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    write_table(path, names, columns)
+    assert path.read_bytes().decode() == _expected_csv(names, columns)
+
+
+@few
+@given(any_float)
+@example(-0.0)
+@example(5e-324)
+def test_format_value_writes_ten_significant_digits(value):
+    assert format_value(value) == f"{value:.10g}"

@@ -58,6 +58,8 @@ class TestSpecValidation:
             {"p_transform": "sinh"},
             {"rel_tol": math.nan},
             {"abs_tol": math.nan},
+            {"rel_tol": math.inf},
+            {"abs_tol": math.inf},
         ],
     )
     def test_invalid(self, kwargs):
