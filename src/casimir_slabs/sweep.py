@@ -14,13 +14,12 @@ quantities row by row.  A point is a grid of numbers, on the same path.
 
 A sweep names a quantity, fixes the remaining parameters, and walks up
 to two axes in deterministic axis-major order.  A CSV table is filled
-from one row template, each repeated float (an axis value, a constant
-column) formatted once.  Every output file gets a sibling
-``<name>.manifest.json`` recording the fixed parameters, the tool
-version and the quadrature settings, so a run can be reproduced byte
-for byte.  Both files are written under temporary names in the
-target directory and renamed into place only when complete, so a failed
-run leaves earlier outputs untouched.  The ``PRESETS`` records describe
+from one row template with a single ``%`` operation.  Every output file
+gets a sibling ``<name>.manifest.json`` recording the fixed parameters,
+the tool version and the quadrature settings, so a run can be
+reproduced byte for byte.  Both files are written under temporary
+names in the target directory and renamed into place only when complete,
+so a failed run leaves earlier outputs untouched.  The ``PRESETS`` records describe
 the data behind the standard plots (main terms vs 1/eps_b, the isotropic
 force vs separation for three thicknesses, the orientation-resolved
 nanotube surfaces) as fixed grids over the same quantities.
@@ -372,24 +371,19 @@ def format_value(value) -> str:
 
 
 def _cells(column) -> tuple[str, list]:
-    """A column's ``%`` spec and cells, as format_value writes them; floats
-    that repeat are formatted once per bit pattern (-0.0 apart from 0.0)."""
+    """A column's ``%`` spec and cells, as format_value writes them."""
     values = np.asarray(column)
     if values.dtype.kind == "U":
         return "%s", values.tolist()
-    if values.dtype != np.float64:
-        return "%s", list(map(format_value, values.tolist()))
-    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    if 2 * len(distinct) >= len(values):
+    if values.dtype.kind == "f":
         return CELL_FORMAT, values.tolist()
-    texts = [CELL_FORMAT % value for value in distinct.view(np.float64).tolist()]
-    return "%s", list(map(texts.__getitem__, inverse.tolist()))
+    return "%s", list(map(format_value, values.tolist()))
 
 
 def write_table(path: str | Path, names: Sequence[str], columns: Sequence,
                 fmt: str = "csv") -> None:
     """Write equal-length columns (arrays or lists) as a CSV or JSON table,
-    a CSV as one row template filled once, each repeated float formatted once."""
+    a CSV as one row template filled once."""
     path = Path(path)
     if fmt == "csv":
         specs, cells = zip(*map(_cells, columns))
