@@ -24,7 +24,7 @@ import numpy as np
 from .lifshitz import RATIO_NORM, ForceResult, _bose, _nonlocal_force
 from .quadrature import IntegralResult, QuadratureError, QuadratureSpec, integrate_xp
 from .response import NanotubeArraySlab, _require_background, _tube_factor
-from .response import _shared_normalisation, fresnel_coeffs
+from .response import fresnel_coeffs
 
 __all__ = [
     "phi",
@@ -175,15 +175,12 @@ class OrientationForces:
 def orientation_forces(
     array: NanotubeArraySlab, l: float, spec: QuadratureSpec | None = None
 ) -> OrientationForces:
-    """Co-aligned and crossed force ratios of one slab pair.
-
-    Both orientations share one table of the tube's Bessel normalisation
-    per node block, which ends with the call (or with the enclosing
-    crossover search, whose table it then uses)."""
-    with _shared_normalisation():
-        return OrientationForces(
-            f_parallel_ratio(array, l, spec), f_perp_ratio(array, l, spec)
-        )
+    """Co-aligned and crossed force ratios of one slab pair; the crossed
+    orientation reads the tube's Bessel normalisation of each node block
+    from the cache (response._tube_normalisation) the co-aligned one filled."""
+    return OrientationForces(
+        f_parallel_ratio(array, l, spec), f_perp_ratio(array, l, spec)
+    )
 
 
 @dataclass(frozen=True)
@@ -219,10 +216,10 @@ def crossover_thickness(
     replaced per probe (so the d >= 2R invariant is enforced on every
     evaluation, and on both bracket ends before the first probe).  Each
     thickness is probed once.  The tube's Bessel normalisation does not
-    depend on the thickness, so every probe and both orientations share
-    one table of it per node block, which ends with the search.  If
-    brentq does not converge, ``crossover_d`` is None; a failed probe
-    raises QuadratureError.
+    depend on the thickness, so every probe and both orientations read
+    it from the cache of response._tube_normalisation, computed once per
+    node block.  If brentq does not converge, ``crossover_d`` is None; a
+    failed probe raises QuadratureError.
     """
     from scipy.optimize import brentq  # imported here: only this search needs it
 
@@ -242,13 +239,12 @@ def crossover_thickness(
             probes[d] = forces
         return probes[d].anisotropy
 
-    with _shared_normalisation():  # every probe below shares one Bessel table
-        sign_lo = math.copysign(1.0, aniso(d_lo))
-        sign_hi = math.copysign(1.0, aniso(d_hi))
-        if sign_lo != sign_hi:
-            d, info = brentq(
-                aniso, d_lo, d_hi, xtol=CROSSOVER_XTOL_NM, full_output=True, disp=False
-            )
+    sign_lo = math.copysign(1.0, aniso(d_lo))
+    sign_hi = math.copysign(1.0, aniso(d_hi))
+    if sign_lo != sign_hi:
+        d, info = brentq(
+            aniso, d_lo, d_hi, xtol=CROSSOVER_XTOL_NM, full_output=True, disp=False
+        )
     root = d_error = None
     if sign_lo != sign_hi and info.converged:
         # The root lies between d and the nearest probe of the other sign;

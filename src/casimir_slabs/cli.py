@@ -23,13 +23,13 @@ import numpy as np
 
 from . import __version__
 from .quadrature import QuadratureError, QuadratureSpec
-from .response import _shared_normalisation
 from .sweep import (
     PRESETS,
     QUANTITIES,
     SweepAxis,
     SweepRequest,
     UsageError,
+    _check_grid,
     evaluate_quantity,
     format_value,
     run_preset,
@@ -243,7 +243,7 @@ def run_point(quantity: str, params: dict, spec: QuadratureSpec) -> int:
     failed quadrature, 1 for a crossover search without a sign change,
     else 0.
     """
-    values = evaluate_quantity(quantity, params, spec)
+    values = evaluate_quantity(quantity, params, spec, _check_grid(quantity, params))
     outputs = {key: np.asarray(value).tolist() for key, value in values.items()}
     for key, value in outputs.items():
         print(f"{key}: {format_value(value)}")
@@ -268,8 +268,9 @@ def _crossover_with_curve(path: str, n: int, params: dict, spec: QuadratureSpec)
     with write_outputs(request, spec, names) as write:
         code = run_point("crossover", params, spec)
         grid = {**params, "d": np.array([params["d_min"] + i * step for i in range(n)])}
-        par, perp = (evaluate_quantity(q, grid, spec)["ratio_to_casimir"]
-                     for q in ("aniso_parallel", "aniso_perp"))
+        forces = [evaluate_quantity(q, grid, spec, _check_grid(q, grid))
+                  for q in ("aniso_parallel", "aniso_perp")]
+        par, perp = (values["ratio_to_casimir"] for values in forces)
         write([grid["d"], par, perp, np.subtract(par, perp)])
     print(f"anisotropy curve written to {path}")
     return code
@@ -321,10 +322,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     params, spec = _resolve(args, QUANTITIES[quantities[0]].eps_b_default)
     if args.command == "aniso" and args.orientation != "both":
         quantities = ("aniso_" + args.orientation,)
-    with _shared_normalisation():  # one l and one R: one Bessel table for all
-        if curve_out is not None:
-            return _crossover_with_curve(curve_out, args.curve_points, params, spec)
-        return max(run_point(quantity, params, spec) for quantity in quantities)
+    if curve_out is not None:
+        return _crossover_with_curve(curve_out, args.curve_points, params, spec)
+    return max(run_point(quantity, params, spec) for quantity in quantities)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

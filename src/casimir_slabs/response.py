@@ -7,21 +7,21 @@ isotropic film and of the aligned-nanotube array, the (x, p) -> k
 mapping used inside the force integrands, the half-space Fresnel pair
 and the local Drude permittivity evaluated at omega = i*xi.
 
-Lengths are nm, angular frequencies s^-1.  All functions are pure; a
-table of tube normalisations shared by the integrals of one scope (see
-_shared_normalisation) lives only as long as that scope, changing no value.
+Lengths are nm, angular frequencies s^-1.  All functions are pure; the
+tube normalisations of the last 11 node blocks are kept in one cache that
+all threads share (see _tube_normalisation), which changes no value.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
 
+from .quadrature import _MAX_LEVEL
 from .special import bessel_i0k0_product
 
 __all__ = [
@@ -159,51 +159,28 @@ def _film_factor(k, slab: Slab):
     return np.sqrt(1.0 + 1.0 / (eps_tilde(slab) * slab.thickness_d) / k)
 
 
-# Tube normalisations of the scope that _shared_normalisation opened in
-# this thread or task, keyed on (dtype, shape, bytes) of z; None outside
-# any scope.  A context variable, so concurrent threads never share one.
-_NORMALISATIONS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "tube_normalisations", default=None
-)
-
-
-@contextlib.contextmanager
-def _shared_normalisation():
-    """Scope in which _tube_factor computes each block's Bessel
-    normalisation once; the table is dropped when the outermost scope
-    closes, and a scope opened inside another reuses the outer table."""
-    table = _NORMALISATIONS.get()
-    token = _NORMALISATIONS.set({} if table is None else table)
-    try:
-        yield
-    finally:
-        _NORMALISATIONS.reset(token)
-
-
-def _tube_normalisation(z):
-    """sqrt(2 z I0(z) K0(z)), from the open scope's table when it holds
-    this exact z: the key is the dtype, shape and bytes of z, so a hit
-    returns the very array a miss computes."""
-    table = _NORMALISATIONS.get()
-    if table is None:
-        return np.sqrt(2.0 * z * bessel_i0k0_product(z))
-    z = np.asarray(z)
-    key = (z.dtype.str, z.shape, z.tobytes())
-    if key not in table:
-        table[key] = np.sqrt(2.0 * z * bessel_i0k0_product(z))
-    return table[key]
+# One integral touches at most 2 * _MAX_LEVEL + 1 node blocks (one at
+# level 0, two at each later level), so the cache holds every block of
+# one integral, and every integral at one (l, R, spec) reuses them.
+@lru_cache(maxsize=2 * _MAX_LEVEL + 1)
+def _tube_normalisation(data: bytes, shape: tuple) -> np.ndarray:
+    """sqrt(2 z I0(z) K0(z)) of the float64 z with these bytes and shape,
+    read-only: a hit returns the very array the miss computed to every
+    caller, in every thread, so no value changes."""
+    z = np.frombuffer(data).reshape(shape)
+    value = np.asarray(np.sqrt(2.0 * z * bessel_i0k0_product(z)))
+    value.flags.writeable = False
+    return value
 
 
 def _tube_factor(k, slab: NanotubeArraySlab):
     """omega_p3d / omega_p(k) of the nanotube array: the film factor over
-    sqrt(2 z I0(z) K0(z)), z = k R, for k > 0.
-
-    The normalisation depends on k and R but not on the thickness, so
-    inside a _shared_normalisation scope (an orientation_forces call, a
-    crossover_thickness search, a whole point command of cli) it is
-    computed once per node block and kept until the outermost scope ends."""
-    z = k * slab.radius_R
-    return _film_factor(k, slab) / _tube_normalisation(z)
+    sqrt(2 z I0(z) K0(z)), z = k R, for k > 0.  The normalisation does not
+    depend on the thickness, so every integral at one (l, R, spec) reads it
+    from the cache of _tube_normalisation: both orientations, every probe
+    of a crossover search, every row of a d, layers or eps_b sweep."""
+    z = np.asarray(k * slab.radius_R, dtype=float)
+    return _film_factor(k, slab) / _tube_normalisation(z.tobytes(), z.shape)
 
 
 def _plasma_freq(k, slab: Slab, factor: Callable):

@@ -338,17 +338,15 @@ def _check_grid(quantity: str, params: dict):
 
 
 def evaluate_quantity(quantity: str, params: dict, spec: QuadratureSpec,
-                      slab=None) -> dict:
+                      slab) -> dict:
     """Compute a grid, ``params`` a number or an array over the rows per
     parameter, into a number, array or list per output column.  ``slab``
-    is the grid's input from ``_check_grid``; None checks the grid here.
+    is the grid's input from ``_check_grid``, which the caller has run.
     An integrating quantity runs row by row, each row's input built by
     its ``slab`` builder from that row alone (repeating the grid's check,
     a cost the quadrature hides), into one list per column, or plain
     values for a point."""
     record = _record(quantity)
-    if slab is None:
-        slab = _check_grid(quantity, params)
     if not record.integrates:
         return record.evaluate(params, slab, spec)
     shape = np.broadcast_shapes(*map(np.shape, params.values()))  # () or (n,)

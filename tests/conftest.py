@@ -1,6 +1,6 @@
 import pytest
 
-from casimir_slabs import IsotropicSlab, NanotubeArraySlab, QuadratureSpec
+from casimir_slabs import IsotropicSlab, NanotubeArraySlab, QuadratureSpec, response
 
 OMEGA_P = 2.0e16  # free-electron-gas bulk plasma frequency, 1/s
 
@@ -27,3 +27,27 @@ def tube_array():
     return NanotubeArraySlab(
         omega_p3d=OMEGA_P, radius_R=2.0, thickness_d=20.0, eps_b=10.0
     )
+
+
+class BesselCalls(list):
+    """The (shape, bytes) of the z of each Bessel call made through
+    response since the last cold()."""
+
+    def cold(self):
+        """Forget the calls counted so far and empty the normalisation cache."""
+        self.clear()
+        response._tube_normalisation.cache_clear()
+
+
+@pytest.fixture
+def bessel_calls(monkeypatch):
+    """Bessel calls through response, counted from an empty cache."""
+    calls, bessel = BesselCalls(), response.bessel_i0k0_product
+
+    def counting(z):
+        calls.append((z.shape, z.tobytes()))
+        return bessel(z)
+
+    monkeypatch.setattr(response, "bessel_i0k0_product", counting)
+    calls.cold()
+    return calls

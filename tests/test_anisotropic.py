@@ -302,34 +302,50 @@ class TestCrossover:
             assert forces.f_parallel == f_parallel_ratio(slab, 1000.0, fast_spec)
             assert forces.f_perp == f_perp_ratio(slab, 1000.0, fast_spec)
 
-    def test_bessel_normalisation_computed_once_per_block(self, monkeypatch):
-        # Every probe and both orientations reuse the search's table: one
+    def test_bessel_normalisation_computed_once_per_block(self, bessel_calls):
+        # Every probe and both orientations reuse the cached blocks: one
         # Bessel call per distinct node block (at most 2 per level, 5 levels),
         # where each probe and orientation would otherwise recompute all.
-        from casimir_slabs import response
-
-        bessel, blocks = response.bessel_i0k0_product, []
-
-        def counting(z):
-            blocks.append((z.shape, z.tobytes()))
-            return bessel(z)
-
-        monkeypatch.setattr(response, "bessel_i0k0_product", counting)
         counts = []
         for _ in range(2):
-            blocks.clear()
+            bessel_calls.cold()
             res = crossover_thickness(array(100.0), 1000.0, (4.0, 100.0))
             assert res.iterations >= 5
-            assert len(set(blocks)) == len(blocks) <= 10
-            counts.append(len(blocks))
-        assert counts[0] == counts[1]  # no table outlived the first search
+            assert len(set(bessel_calls)) == len(bessel_calls) <= 10
+            counts.append(len(bessel_calls))
+        # each search from an empty cache makes the same calls, and a
+        # second search on the kept blocks makes none
+        assert counts[0] == counts[1] > 0
+        bessel_calls.clear()
+        crossover_thickness(array(100.0), 1000.0, (4.0, 100.0))
+        assert bessel_calls == []
 
-    def test_threads_keep_their_own_tables(self, fast_spec):
+    def test_cache_holds_every_block_of_one_integral(self, bessel_calls, monkeypatch):
+        # At this tolerance every level runs, so the co-aligned integral
+        # touches all 2 * _MAX_LEVEL + 1 node blocks; the cache must hold
+        # them all for the crossed one to make no call at all.
+        from casimir_slabs import anisotropic
+        from casimir_slabs.quadrature import _MAX_LEVEL
+
+        perp, before_perp = anisotropic.f_perp_ratio, []
+
+        def counted(*args):
+            before_perp.append(len(bessel_calls))
+            return perp(*args)
+
+        monkeypatch.setattr(anisotropic, "f_perp_ratio", counted)
+        every_level = QuadratureSpec(rel_tol=1e-15, abs_tol=0.0)
+        orientation_forces(array(20.0), 1000.0, every_level)
+        assert before_perp == [len(bessel_calls)] == [2 * _MAX_LEVEL + 1]
+
+    def test_threads_share_the_cache_bit_for_bit(self, fast_spec, bessel_calls):
         # orientation_forces at two separations, run concurrently in two
-        # threads, return the bits of the serial calls
+        # threads from an empty normalisation cache, return the bits of
+        # the serial calls
         slab = array(20.0)
         separations = (500.0, 1000.0)
         serial = [orientation_forces(slab, l, fast_spec) for l in separations]
+        bessel_calls.cold()
         results = [None, None]
 
         def run(i):

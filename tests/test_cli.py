@@ -16,7 +16,7 @@ from casimir_slabs.cli import (
     run_point,
 )
 from casimir_slabs.quadrature import QuadratureError, QuadratureSpec
-from casimir_slabs.sweep import evaluate_quantity, format_value
+from casimir_slabs.sweep import _check_grid, evaluate_quantity, format_value
 
 FAST = ["--rel-tol", "1e-6", "--abs-tol", "1e-10"]
 # Expected bytes of the files the small runs below write, by file name.
@@ -372,13 +372,12 @@ class TestSweep:
         spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10)
         for row in rows:
             cells = dict(zip(columns, row.split(",")))
+            params = {
+                "l": float(cells["l_nm"]), "d": 20.0, "eps_b": 9.0,
+                "omega_p": 2e16, "eps_sub": 1.0, "eps_sup": 1.0,
+            }
             point = evaluate_quantity(
-                "iso_nonlocal",
-                {
-                    "l": float(cells["l_nm"]), "d": 20.0, "eps_b": 9.0,
-                    "omega_p": 2e16, "eps_sub": 1.0, "eps_sup": 1.0,
-                },
-                spec,
+                "iso_nonlocal", params, spec, _check_grid("iso_nonlocal", params)
             )
             assert cells["validity"] == point["validity"]
             assert float(cells["ratio_to_casimir"]) == pytest.approx(
@@ -668,6 +667,41 @@ class TestColumnEvaluation:
         assert len(built) == 1
         assert np.shape(built[0].thickness_d) == (30 * 40,)
 
+    def test_each_grid_is_checked_once_per_cell(self, tmp_path, monkeypatch,
+                                                fast_spec):
+        # A sweep of every quantity and every preset checks each cell's
+        # grid once, whether or not its quantity builds a slab.
+        check, checked = sweep._check_grid, []
+
+        def counted(quantity, params):
+            checked.append(quantity)
+            return check(quantity, params)
+
+        monkeypatch.setattr(sweep, "_check_grid", counted)
+        film = {"l": 1000.0, "d": 20.0, "eps_b": 9.0, "omega_p": 2e16}
+        tubes = {"l": 1000.0, "d": 20.0, "radius": 2.0, "eps_b": 10.0,
+                 "omega_p": 2e16}
+        one_row = {
+            "casimir": {"l": 1000.0}, "lifshitz_local": {"l": 1000.0, "omega_p": 2e16},
+            "iso_nonlocal": film, "iso_thin": film, "validity": film,
+            "aniso_parallel": tubes, "aniso_perp": tubes, "main_terms": {"eps_b": 10.0},
+            "crossover": {"l": 1000.0, "d_min": 40.0, "d_max": 50.0, "radius": 2.0,
+                          "eps_b": 10.0, "omega_p": 2e16},
+        }
+        assert one_row.keys() == sweep.QUANTITIES.keys()
+        for quantity, fixed in one_row.items():
+            checked.clear()
+            request = sweep.SweepRequest(quantity, fixed, (), str(tmp_path / "x.csv"))
+            sweep.run_sweep(request, fast_spec)
+            assert checked == [quantity]
+        sizes = {"fig2": {"points": 2}, "fig3": {"points": 2},
+                 "fig4": {"d_points": 1, "l_points": 1, "panels": "a"}}
+        assert sizes.keys() == sweep.PRESETS.keys()
+        for name, preset in sweep.PRESETS.items():
+            checked.clear()
+            sweep.run_preset(name, tmp_path / "x.csv", fast_spec, **sizes[name])
+            assert checked == [quantity for quantity, _ in preset.cells]
+
     @pytest.mark.parametrize(
         "quantity, function, grid",
         [
@@ -697,7 +731,9 @@ class TestColumnEvaluation:
 
         monkeypatch.setattr(sweep, function, counted)
         params = {"omega_p": 2e16, **{k: np.asarray(v) for k, v in grid.items()}}
-        values = evaluate_quantity(quantity, params, fast_spec)
+        values = evaluate_quantity(
+            quantity, params, fast_spec, _check_grid(quantity, params)
+        )
         assert len(calls) == 2
         assert all(len(column) == 2 for column in values.values())
 
@@ -764,29 +800,35 @@ BRACKET = ["--l-nm", "1000", "--d-min-nm", "40", "--d-max-nm", "50", *FAST]
          ["aniso", "--layers", "5", "--l-nm", "1000", "--orientation", "perp", *FAST]),
     ],
 )
-def test_point_command_shares_one_bessel_table(capsys, tmp_path, monkeypatch, argv,
-                                               alone):
+def test_point_command_shares_one_bessel_table(capsys, tmp_path, monkeypatch,
+                                               bessel_calls, argv, alone):
     # A point command has one l and one R, so the curve rows reuse the
-    # search's Bessel normalisations, and the second orientation the
-    # first's: each costs no more Bessel calls than the search or one
-    # orientation alone.
-    from casimir_slabs import response
-
-    bessel, blocks = response.bessel_i0k0_product, []
-
-    def counting(z):
-        blocks.append(z.tobytes())
-        return bessel(z)
-
-    monkeypatch.setattr(response, "bessel_i0k0_product", counting)
+    # search's cached Bessel normalisations, and the second orientation the
+    # first's: from an empty cache each costs no more Bessel calls than the
+    # search or one orientation alone.
     monkeypatch.chdir(tmp_path)  # where the curve is written
     counts = []
     for command in (alone, argv):
-        blocks.clear()
+        bessel_calls.cold()
         assert run(capsys, *command)[0] == 0
-        assert len(set(blocks)) == len(blocks)
-        counts.append(len(blocks))
-    assert counts[1] == counts[0]
+        assert len(set(bessel_calls)) == len(bessel_calls)
+        counts.append(len(bessel_calls))
+    assert counts[1] == counts[0] > 0
+
+
+def test_sweep_rows_at_one_l_and_radius_share_the_cached_blocks(capsys, tmp_path,
+                                                                bessel_calls):
+    # The normalisation does not depend on d: ten rows of a d sweep make
+    # the Bessel calls of one row.
+    fixed = ["--quantity", "aniso_perp", "--l-nm", "1000", *FAST]
+    row = ["sweep", *fixed, "--d-nm", "20", "--out", str(tmp_path / "row.csv")]
+    assert main(row) == 0
+    one_row = len(bessel_calls)
+    bessel_calls.cold()
+    rows = ["sweep", *fixed, "--axis", "d:10:100:10", "--out", str(tmp_path / "d.csv")]
+    assert main(rows) == 0
+    capsys.readouterr()
+    assert 0 < len(bessel_calls) <= one_row
 
 
 class TestPresets:

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -6,13 +7,14 @@ import pytest
 from casimir_slabs import (
     IsotropicSlab,
     NanotubeArraySlab,
+    bessel_i0k0_product,
     drude_eps_imaginary_axis,
     eps_tilde,
     momentum_from_xp,
     plasma_freq_isotropic,
     plasma_freq_nanotube,
 )
-from casimir_slabs.response import fresnel_coeffs
+from casimir_slabs.response import _tube_normalisation, fresnel_coeffs
 
 OMEGA_P = 2.0e16
 
@@ -291,3 +293,24 @@ class TestDrude:
         undamped = drude_eps_imaginary_axis(1e15, OMEGA_P, 9.0)
         damped = drude_eps_imaginary_axis(1e15, OMEGA_P, 9.0, delta=1e14)
         assert damped < undamped
+
+
+class TestNormalisationCache:
+    def test_cached_block_is_shared_and_read_only(self):
+        # every caller, in every thread, receives the one cached array, so
+        # none may write into it
+        z = np.array([[0.25, 1.0], [4.0, 16.0]])
+        value = _tube_normalisation(z.tobytes(), z.shape)
+        in_thread = []
+        thread = threading.Thread(
+            target=lambda: in_thread.append(_tube_normalisation(z.tobytes(), z.shape))
+        )
+        thread.start()
+        thread.join(timeout=60.0)
+        [shared] = in_thread
+        assert shared is value
+        assert np.array_equal(value, np.sqrt(2.0 * z * bessel_i0k0_product(z)))
+        with pytest.raises(ValueError, match="read-only"):
+            value *= 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            value[0, 0] = 1.0
