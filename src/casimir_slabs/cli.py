@@ -243,7 +243,8 @@ def run_point(quantity: str, params: dict, spec: QuadratureSpec) -> int:
     failed quadrature, 1 for a crossover search without a sign change,
     else 0.
     """
-    values = evaluate_quantity(quantity, params, spec, _check_grid(quantity, params))
+    slab = _check_grid(quantity, params)
+    (values,) = evaluate_quantity((quantity,), params, spec, [slab])
     outputs = {key: np.asarray(value).tolist() for key, value in values.items()}
     for key, value in outputs.items():
         print(f"{key}: {format_value(value)}")
@@ -260,17 +261,17 @@ def run_point(quantity: str, params: dict, spec: QuadratureSpec) -> int:
 
 def _crossover_with_curve(path: str, n: int, params: dict, spec: QuadratureSpec) -> int:
     """The search, then both orientation forces over n evenly spaced
-    thicknesses of the bracket, all inside write_outputs: a path that
-    cannot be written fails first."""
+    thicknesses of the bracket in one pass, all inside write_outputs: a
+    path that cannot be written fails first."""
     step = (params["d_max"] - params["d_min"]) / max(n - 1, 1)
     request = SweepRequest("crossover", {**params, "curve_points": n}, (), path)
     names = ["d_nm", "ratio_parallel", "ratio_perp", "anisotropy"]
     with write_outputs(request, spec, names) as write:
         code = run_point("crossover", params, spec)
         grid = {**params, "d": np.array([params["d_min"] + i * step for i in range(n)])}
-        forces = [evaluate_quantity(q, grid, spec, _check_grid(q, grid))
-                  for q in ("aniso_parallel", "aniso_perp")]
-        par, perp = (values["ratio_to_casimir"] for values in forces)
+        both = ("aniso_parallel", "aniso_perp")
+        pair = evaluate_quantity(both, grid, spec, [_check_grid(q, grid) for q in both])
+        par, perp = (values["ratio_to_casimir"] for values in pair)
         write([grid["d"], par, perp, np.subtract(par, perp)])
     print(f"anisotropy curve written to {path}")
     return code

@@ -177,8 +177,8 @@ def _tube_factor(k, slab: NanotubeArraySlab):
     """omega_p3d / omega_p(k) of the nanotube array: the film factor over
     sqrt(2 z I0(z) K0(z)), z = k R, for k > 0.  The normalisation does not
     depend on the thickness, so every integral at one (l, R, spec) reads it
-    from the cache of _tube_normalisation: both orientations, every probe
-    of a crossover search, every row of a d, layers or eps_b sweep."""
+    from the cache of _tube_normalisation: both orientations of one pair or
+    grid row, every crossover probe, every row of a d, layers or eps_b sweep."""
     z = np.asarray(k * slab.radius_R, dtype=float)
     return _film_factor(k, slab) / _tube_normalisation(z.tobytes(), z.shape)
 

@@ -7,10 +7,10 @@ evaluation, sweep validation and the command line all read that table.
 
 A grid, the unit of evaluation, is held as columns: an array per swept
 parameter (the axes expanded in axis-major order), a number per fixed
-one.  It is checked once, with one slab of array fields, and each
-quantity is evaluated once per grid, into one array or list per output
-column: the closed forms as array expressions, the integrating
-quantities row by row.  A point is a grid of numbers, on the same path.
+one.  It is checked once, with one slab of array fields per quantity,
+and evaluated in one pass, into one array or list per output column:
+each closed form as array expressions, the integrating quantities row
+by row, all of a row back to back.  A point is a grid of numbers.
 
 A sweep names a quantity, fixes the remaining parameters, and walks up
 to two axes in deterministic axis-major order.  A CSV table is filled
@@ -90,6 +90,12 @@ _SURROUNDINGS = ("eps_sub", "eps_sup")
 CELL_FORMAT = "%.10g"  # a float cell: 10 significant digits, locale-free
 
 
+def _count(value, what: str) -> int:
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise UsageError(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SweepAxis:
     """One swept parameter: name in {d, l, eps_b, R, layers}."""
@@ -105,8 +111,7 @@ class SweepAxis:
             raise UsageError(
                 f"unknown axis {self.name!r}; choose from {sorted(AXIS_COLUMNS)}"
             )
-        if self.points < 1:
-            raise UsageError(f"axis {self.name}: points must be >= 1")
+        object.__setattr__(self, "points", _count(self.points, f"{self.name}: points"))
         if self.spacing not in ("linear", "log"):
             raise UsageError(f"axis {self.name}: spacing must be linear or log")
         if self.spacing == "log" and (self.start <= 0.0 or self.stop <= 0.0):
@@ -337,24 +342,25 @@ def _check_grid(quantity: str, params: dict):
     return None if record.slab is None else record.slab(params, quantity)
 
 
-def evaluate_quantity(quantity: str, params: dict, spec: QuadratureSpec,
-                      slab) -> dict:
-    """Compute a grid, ``params`` a number or an array over the rows per
-    parameter, into a number, array or list per output column.  ``slab``
-    is the grid's input from ``_check_grid``, which the caller has run.
-    An integrating quantity runs row by row, each row's input built by
-    its ``slab`` builder from that row alone (repeating the grid's check,
-    a cost the quadrature hides), into one list per column, or plain
-    values for a point."""
-    record = _record(quantity)
-    if not record.integrates:
-        return record.evaluate(params, slab, spec)
+def evaluate_quantity(quantities: Sequence[str], params: dict, spec: QuadratureSpec,
+                      slabs: Sequence) -> list[dict]:
+    """Compute a grid's cells in one pass, ``params`` a number or an array
+    over the rows per parameter, into one dict per quantity of a number,
+    array or list per column.  ``slabs`` are the cells' inputs from
+    ``_check_grid``, which the caller has run.  The integrating quantities
+    run row by row, those of a row back to back, each on the input its
+    ``slab`` builds from that row alone; a closed form runs as arrays."""
+    records = [_record(quantity) for quantity in quantities]
+    values = [None if record.integrates else record.evaluate(params, slab, spec)
+              for record, slab in zip(records, slabs)]
+    cells = [i for i, record in enumerate(records) if record.integrates]
     shape = np.broadcast_shapes(*map(np.shape, params.values()))  # () or (n,)
-    rows = _rows(params, shape)
-    outputs = [record.evaluate(row, record.slab(row, quantity), spec) for row in rows]
-    if not shape:
-        return outputs[0]
-    return {name: [out[name] for out in outputs] for name in outputs[0]}
+    by_row = [[records[i].evaluate(row, records[i].slab(row, quantities[i]), spec)
+               for i in cells] for row in (_rows(params, shape) if cells else ())]
+    for i, outputs in zip(cells, zip(*by_row)):
+        values[i] = outputs[0] if not shape else {
+            name: [out[name] for out in outputs] for name in outputs[0]}
+    return values
 
 
 def format_value(value) -> str:
@@ -464,16 +470,13 @@ def _check_and_write(
 ) -> dict:
     """Check the grid ``params`` for every quantity in ``cells``, then
     compute and write the table: the ``leading`` columns, then the named
-    outputs of each quantity, evaluated once per grid."""
+    outputs of each quantity, from one evaluate_quantity call."""
     slabs = [_check_grid(quantity, params) for quantity, _ in cells]
     rows = len(leading[0]) if leading else 1
     with write_outputs(request, spec, names) as write:
-        columns = list(leading)
-        for (quantity, outputs), slab in zip(cells, slabs):
-            values = evaluate_quantity(quantity, params, spec, slab)
-            columns += [np.broadcast_to(np.asarray(values[name]), (rows,))
-                        for name in outputs]
-        return write(columns)
+        values = evaluate_quantity([q for q, _ in cells], params, spec, slabs)
+        columns = [out[k] for out, (_, keys) in zip(values, cells) for k in keys]
+        return write([*leading, *(np.broadcast_to(c, (rows,)) for c in columns)])
 
 
 def _product(*grids: Sequence) -> list[np.ndarray]:
@@ -592,11 +595,14 @@ def run_preset(
 ) -> dict:
     """Validate, compute and write preset ``name``; a size given as None
     keeps its default."""
+    if name not in PRESETS:
+        raise UsageError(f"unknown preset {name!r}; choose from {tuple(PRESETS)}")
     preset = PRESETS[name]
     if not sizes.keys() <= preset.sizes.keys():
         raise UsageError(f"{name} takes only the sizes {tuple(preset.sizes)}")
     settings = {"preset": name, **preset.sizes, **preset.constants}
     settings.update((k, v) for k, v in sizes.items() if v is not None)
+    settings.update((k, _count(settings[k], k)) for k in sizes if k.endswith("points"))
     request = SweepRequest(preset.cells[0][0], settings, (), output_path)
     leading, params = preset.grid(settings)
     return _check_and_write(request, spec or QuadratureSpec(), preset.columns,

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from casimir_slabs import IsotropicSlab, cli, sweep
+from casimir_slabs import (
+    IsotropicSlab, NanotubeArraySlab, cli, orientation_forces, sweep,
+)
 from casimir_slabs.cli import (
     COMMANDS,
     FLAGS,
@@ -134,7 +136,7 @@ class TestPointCommands:
     def test_result_line_is_strict_json(self, capsys, monkeypatch):
         # any non-finite output left over is refused, not printed as Infinity
         monkeypatch.setattr(
-            cli, "evaluate_quantity", lambda *a: {"ratio_to_casimir": float("inf")}
+            cli, "evaluate_quantity", lambda *a: [{"ratio_to_casimir": float("inf")}]
         )
         code, out, _ = run(capsys, "casimir", "--l-nm", "1000")
         assert code == 2
@@ -376,8 +378,8 @@ class TestSweep:
                 "l": float(cells["l_nm"]), "d": 20.0, "eps_b": 9.0,
                 "omega_p": 2e16, "eps_sub": 1.0, "eps_sup": 1.0,
             }
-            point = evaluate_quantity(
-                "iso_nonlocal", params, spec, _check_grid("iso_nonlocal", params)
+            (point,) = evaluate_quantity(
+                ("iso_nonlocal",), params, spec, [_check_grid("iso_nonlocal", params)]
             )
             assert cells["validity"] == point["validity"]
             assert float(cells["ratio_to_casimir"]) == pytest.approx(
@@ -731,8 +733,8 @@ class TestColumnEvaluation:
 
         monkeypatch.setattr(sweep, function, counted)
         params = {"omega_p": 2e16, **{k: np.asarray(v) for k, v in grid.items()}}
-        values = evaluate_quantity(
-            quantity, params, fast_spec, _check_grid(quantity, params)
+        (values,) = evaluate_quantity(
+            (quantity,), params, fast_spec, [_check_grid(quantity, params)]
         )
         assert len(calls) == 2
         assert all(len(column) == 2 for column in values.values())
@@ -829,6 +831,90 @@ def test_sweep_rows_at_one_l_and_radius_share_the_cached_blocks(capsys, tmp_path
     assert main(rows) == 0
     capsys.readouterr()
     assert 0 < len(bessel_calls) <= one_row
+
+
+class TestOnePassPerGrid:
+    """A grid's quantities are evaluated by one evaluate_quantity call,
+    each row's quantities back to back."""
+
+    @staticmethod
+    def _counted(monkeypatch, module):
+        calls, evaluate = [], sweep.evaluate_quantity
+
+        def counted(*args):
+            calls.append(args[0])
+            return evaluate(*args)
+
+        monkeypatch.setattr(module, "evaluate_quantity", counted)
+        return calls
+
+    @pytest.mark.parametrize("name, sizes", [
+        ("fig3", {"points": 2}),
+        ("fig4", {"d_points": 2, "l_points": 2, "panels": "ab"}),
+    ])
+    def test_preset_makes_one_call(self, tmp_path, monkeypatch, fast_spec, name,
+                                   sizes):
+        calls = self._counted(monkeypatch, sweep)
+        sweep.run_preset(name, tmp_path / "x.csv", fast_spec, **sizes)
+        assert calls == [[quantity for quantity, _ in sweep.PRESETS[name].cells]]
+
+    def test_curve_makes_one_call_after_the_search(self, capsys, tmp_path,
+                                                   monkeypatch):
+        calls = self._counted(monkeypatch, cli)
+        curve = ["--curve-out", str(tmp_path / "c.csv"), "--curve-points", "3"]
+        assert run(capsys, "crossover", *BRACKET, *curve)[0] == 0
+        assert calls == [("crossover",), ("aniso_parallel", "aniso_perp")]
+
+    def test_fig4_rows_make_the_bessel_calls_of_orientation_forces(
+        self, tmp_path, fast_spec, bessel_calls
+    ):
+        # Each row's crossed force reads the blocks its co-aligned force
+        # cached, as orientation_forces does for one slab pair.
+        sizes = {"panels": "b", "d_points": 2, "l_points": 2}
+        sweep.run_preset("fig4", tmp_path / "x.csv", fast_spec, **sizes)
+        preset = bessel_calls.copy()
+        bessel_calls.cold()
+        _, grid = sweep.PRESETS["fig4"].grid({**sizes, "omega_p": 2e16})
+        rows = zip(grid["l"], grid["d"], grid["radius"], grid["eps_b"])
+        for l, d, radius, eps_b in rows:
+            array = NanotubeArraySlab(omega_p3d=2e16, radius_R=radius, thickness_d=d,
+                                      eps_b=eps_b)
+            orientation_forces(array, l, fast_spec)
+        assert len(grid["l"]) == 4
+        assert preset == bessel_calls
+        assert len(preset) > 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda out: sweep.run_preset("fig5", out),
+        lambda out: sweep.run_preset("fig2", out, points=0),
+        lambda out: sweep.run_preset("fig4", out, l_points=0),
+        lambda out: sweep.run_preset("fig4", out, d_points=np.int64(0)),
+        lambda out: sweep.run_preset("fig2", out, points=-3),
+        lambda out: sweep.run_preset("fig2", out, points=2.5),
+        lambda out: sweep.run_sweep(sweep.SweepRequest(
+            "casimir", {}, (sweep.SweepAxis("l", 100.0, 1000.0, 2.5),), str(out))),
+    ],
+    ids=["unknown", "zero", "zero-l", "numpy-zero", "negative", "float", "axis-float"],
+)
+def test_bad_library_grid_sizes_are_usage_errors(tmp_path, call):
+    # The CLI's own checks never send these; the library rejects them
+    # before any file is touched.
+    with pytest.raises(sweep.UsageError):
+        call(tmp_path / "x.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_numpy_integer_sizes_are_plain_sizes(tmp_path, fast_spec):
+    axis = sweep.SweepAxis("l", 100.0, 1000.0, np.int64(3))
+    request = sweep.SweepRequest("casimir", {}, (axis,), str(tmp_path / "a.csv"))
+    assert sweep.run_sweep(request)["rows"] == 3
+    preset = sweep.run_preset("fig2", tmp_path / "p.csv", fast_spec, points=np.int64(2))
+    assert preset["rows"] == 2
+    assert json.loads((tmp_path / "p.csv.manifest.json").read_text())[
+        "fixed_params"]["points"] == 2
 
 
 class TestPresets:
