@@ -169,23 +169,19 @@ def _bose(x):
     return x ** 4 * np.exp(-x) / np.expm1(-x) ** 2
 
 
-def _nonlocal_force(slab, l, spec, *, main, weight, factor, order, scale):
+def _nonlocal_force(slab, l, spec, *, main, kernel, order, scale):
     """A main term minus the finite-plasma-frequency correction, the one
     construction of the film and both nanotube-array forces.
 
     ``main()`` gives the main term's (value, error, converged); it runs
     after the separation check.  The correction is 15 c scale/(pi^4
-    omega_p3d l) times the (x, p) integral of weight(x, p, F), where
-    F = factor(k, slab) = omega_p3d/omega_p(k) at k = x q/(2 p l) and the
-    p integrand diverges as (p^2-1)^(-order) at p = 1.
+    omega_p3d l) times the (x, p) integral of kernel(x, p, q), a weight
+    times F = omega_p3d/omega_p(k) at k = x q/(2 p l), whose p integrand
+    diverges as (p^2-1)^(-order) at p = 1.
     """
     f_c = casimir_pressure(l)
     main_value, main_error, main_converged = main()
-
-    def f(x, p, q):
-        return weight(x, p, factor(momentum_from_xp(x, p, q, l), slab))
-
-    res = integrate_xp(f, spec, p_singularity_order=order)
+    res = integrate_xp(kernel, spec, p_singularity_order=order)
     coef = _over(15.0 * C_NM_PER_S * scale, PI4 * slab.omega_p3d * l)
     corr = coef * res.value
     err = main_error + coef * res.error_estimate
@@ -203,11 +199,12 @@ def nonlocal_isotropic_ratio(
     which diverges as (p^2-1)^(-1/4) at normal incidence, an integrable
     factor in the p integrand.
     """
-    return _nonlocal_force(
-        slab, l, spec, main=lambda: (1.0, 0.0, True),
-        weight=lambda x, p, factor: _bose(x) * ((p * p + 1.0) / (p * p) ** 2 * factor),
-        factor=_film_factor, order=0.25, scale=1.0,
-    )
+    def kernel(x, p, q):
+        factor = _film_factor(momentum_from_xp(x, p, q, l), slab)
+        return _bose(x) * ((p * p + 1.0) / (p * p) ** 2 * factor)
+
+    return _nonlocal_force(slab, l, spec, main=lambda: (1.0, 0.0, True),
+                           kernel=kernel, order=0.25, scale=1.0)
 
 
 @lru_cache(maxsize=None)

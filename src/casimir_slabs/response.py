@@ -8,8 +8,8 @@ mapping used inside the force integrands, the half-space Fresnel pair
 and the local Drude permittivity evaluated at omega = i*xi.
 
 Lengths are nm, angular frequencies s^-1.  All functions are pure; the
-tube normalisations of the last 11 node blocks are kept in one cache that
-all threads share (see _tube_normalisation), which changes no value.
+momentum and tube normalisation of the last 11 node blocks are kept in one
+cache that all threads share (see _tube_block), which changes no value.
 """
 
 from __future__ import annotations
@@ -159,28 +159,40 @@ def _film_factor(k, slab: Slab):
     return np.sqrt(1.0 + 1.0 / (eps_tilde(slab) * slab.thickness_d) / k)
 
 
+def _tube_normalisation(z):
+    """sqrt(2 z I0(z) K0(z)), the carrier normalisation over the cylinder
+    surfaces at z = k R."""
+    z = np.asarray(z, dtype=float)
+    return np.asarray(np.sqrt(2.0 * z * bessel_i0k0_product(z)))
+
+
+def _tube_factor(k, slab: NanotubeArraySlab, norm=None):
+    """omega_p3d / omega_p(k) of the nanotube array for k > 0: the film
+    factor over ``norm``, by default _tube_normalisation(k R)."""
+    if norm is None:
+        norm = _tube_normalisation(k * slab.radius_R)
+    return _film_factor(k, slab) / norm
+
+
+def _node_block(key: tuple):
+    """The read-only (x, p, q) of the bytes (x, p, q) of a node block as the
+    kernels receive it: x a column, p and q rows."""
+    x, p, q = map(np.frombuffer, key)
+    return x[:, None], p[None, :], q[None, :]
+
+
 # One integral touches at most 2 * _MAX_LEVEL + 1 node blocks (one at
 # level 0, two at each later level), so the cache holds every block of
 # one integral, and every integral at one (l, R, spec) reuses them.
 @lru_cache(maxsize=2 * _MAX_LEVEL + 1)
-def _tube_normalisation(data: bytes, shape: tuple) -> np.ndarray:
-    """sqrt(2 z I0(z) K0(z)) of the float64 z with these bytes and shape,
-    read-only: a hit returns the very array the miss computed to every
-    caller, in every thread, so no value changes."""
-    z = np.frombuffer(data).reshape(shape)
-    value = np.asarray(np.sqrt(2.0 * z * bessel_i0k0_product(z)))
-    value.flags.writeable = False
-    return value
-
-
-def _tube_factor(k, slab: NanotubeArraySlab):
-    """omega_p3d / omega_p(k) of the nanotube array: the film factor over
-    sqrt(2 z I0(z) K0(z)), z = k R, for k > 0.  The normalisation does not
-    depend on the thickness, so every integral at one (l, R, spec) reads it
-    from the cache of _tube_normalisation: both orientations of one pair or
-    grid row, every crossover probe, every row of a d, layers or eps_b sweep."""
-    z = np.asarray(k * slab.radius_R, dtype=float)
-    return _film_factor(k, slab) / _tube_normalisation(z.tobytes(), z.shape)
+def _tube_block(key: tuple, l: float, radius: float) -> tuple:
+    """Read-only k and _tube_normalisation(k R) of node block ``key`` at l:
+    every integral at (l, R), whatever the thickness, reads the arrays the
+    miss computed, in every thread."""
+    k = momentum_from_xp(*_node_block(key), l)
+    norm = _tube_normalisation(k * radius)
+    k.flags.writeable = norm.flags.writeable = False
+    return k, norm
 
 
 def _plasma_freq(k, slab: Slab, factor: Callable):

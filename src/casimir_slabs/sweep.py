@@ -546,8 +546,9 @@ def _fig4_grid(settings: dict):
     by_layers = [(2.0, layers) for layers in range(1, n + 1)]
     modes = {"a": (10.0, by_radius), "b": (10.0, by_layers),
              "c": (5.0, by_radius), "d": (5.0, by_layers)}
-    if not panels or set(panels) - set(modes):
-        raise UsageError(f"fig4 panels must be some of abcd, got {panels!r}")
+    known = isinstance(panels, str) and len(set(panels) & set(modes)) == len(panels)
+    if not (panels and known):
+        raise UsageError(f"fig4 panels must be some of abcd, each once, got {panels!r}")
     l_grid = np.geomspace(500.0, 5000.0, settings["l_points"]).tolist()
     rows = [
         (panel, modes[panel][0], radius, layers, layers * 2.0 * radius, l)

@@ -1,6 +1,7 @@
 import pytest
 
-from casimir_slabs import IsotropicSlab, NanotubeArraySlab, QuadratureSpec, response
+from casimir_slabs import IsotropicSlab, NanotubeArraySlab, QuadratureSpec
+from casimir_slabs import anisotropic, response
 
 OMEGA_P = 2.0e16  # free-electron-gas bulk plasma frequency, 1/s
 
@@ -34,9 +35,10 @@ class BesselCalls(list):
     response since the last cold()."""
 
     def cold(self):
-        """Forget the calls counted so far and empty the normalisation cache."""
+        """Forget the calls counted so far and empty the node-block caches."""
         self.clear()
-        response._tube_normalisation.cache_clear()
+        response._tube_block.cache_clear()
+        anisotropic._tube_weights.cache_clear()
 
 
 @pytest.fixture

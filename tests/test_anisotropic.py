@@ -248,6 +248,26 @@ def counted_crossover(fast_spec):
     return res, probed
 
 
+@pytest.fixture
+def background_calls(monkeypatch):
+    """Calls of phi and psi through anisotropic, by name."""
+    from collections import Counter
+
+    from casimir_slabs import anisotropic
+
+    calls = Counter()
+
+    def counting(name, function):
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+        return counted
+
+    for name, function in (("phi", phi), ("psi", psi)):
+        monkeypatch.setattr(anisotropic, name, counting(name, function))
+    return calls
+
+
 class TestCrossover:
     def test_bracketed_root_found(self, counted_crossover, fast_spec):
         res, _ = counted_crossover
@@ -320,23 +340,72 @@ class TestCrossover:
         crossover_thickness(array(100.0), 1000.0, (4.0, 100.0))
         assert bessel_calls == []
 
-    def test_cache_holds_every_block_of_one_integral(self, bessel_calls, monkeypatch):
+    def test_cache_holds_every_block_of_one_integral(self, bessel_calls, monkeypatch,
+                                                    background_calls):
         # At this tolerance every level runs, so the co-aligned integral
-        # touches all 2 * _MAX_LEVEL + 1 node blocks; the cache must hold
-        # them all for the crossed one to make no call at all.
+        # touches all 2 * _MAX_LEVEL + 1 node blocks; both caches must hold
+        # them all for the crossed one to make no Bessel or phi call at all.
         from casimir_slabs import anisotropic
         from casimir_slabs.quadrature import _MAX_LEVEL
 
         perp, before_perp = anisotropic.f_perp_ratio, []
 
         def counted(*args):
-            before_perp.append(len(bessel_calls))
+            before_perp.append((len(bessel_calls), background_calls["phi"]))
             return perp(*args)
 
         monkeypatch.setattr(anisotropic, "f_perp_ratio", counted)
         every_level = QuadratureSpec(rel_tol=1e-15, abs_tol=0.0)
+        main_term_parallel(10.0, every_level)  # the main terms' own phi calls
+        main_term_perp(10.0, every_level)
+        background_calls.clear()
         orientation_forces(array(20.0), 1000.0, every_level)
-        assert before_perp == [len(bessel_calls)] == [2 * _MAX_LEVEL + 1]
+        blocks = 2 * _MAX_LEVEL + 1
+        assert before_perp == [(len(bessel_calls), background_calls["phi"])]
+        assert before_perp == [(blocks, blocks)]
+
+    def test_cold_search_computes_each_weight_once_per_block(
+        self, bessel_calls, background_calls
+    ):
+        # The weights do not depend on the thickness: a search makes one
+        # phi and one psi call per node block, not one per block and probe.
+        main_term_parallel(10.0)  # the main terms' own calls are cached
+        main_term_perp(10.0)
+        bessel_calls.cold()
+        background_calls.clear()
+        res = crossover_thickness(array(100.0), 1000.0, (4.0, 100.0))
+        assert res.iterations >= 5
+        assert 0 < background_calls["phi"] <= 10
+        assert 0 < background_calls["psi"] <= 10
+
+    def test_second_search_at_one_l_radius_and_eps_b_makes_no_calls(
+        self, bessel_calls, background_calls
+    ):
+        crossover_thickness(array(100.0), 1000.0, (4.0, 100.0))
+        bessel_calls.clear()
+        background_calls.clear()
+        crossover_thickness(array(100.0), 1000.0, (4.0, 100.0))
+        assert bessel_calls == []
+        assert background_calls == {}
+
+    def test_cached_weights_are_read_only(self, bessel_calls):
+        # every force at one (l, R, eps_b) reads the same cached arrays
+        from casimir_slabs import anisotropic
+        from casimir_slabs.lifshitz import _bose
+        from casimir_slabs.quadrature import _p_nodes, _tanh_sinh
+
+        x = _tanh_sinh(40.0, 0.5, 1)[0][:, None]
+        p, q = (nodes[None, :] for nodes in _p_nodes("hyperbolic", 1)[:2])
+        key = x.tobytes(), p.tobytes(), q.tobytes()
+        weights = anisotropic._tube_weights(key, 1000.0, 2.0, 10.0)
+        assert anisotropic._tube_weights(key, 1000.0, 2.0, 10.0) is weights
+        assert np.array_equal(weights[0], _bose(x) / (p * p) ** 2)
+        for weight in weights:
+            assert weight.shape == (x.size, p.size)
+            with pytest.raises(ValueError, match="read-only"):
+                weight *= 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                weight[0, 0] = 1.0
 
     def test_threads_share_the_cache_bit_for_bit(self, fast_spec, bessel_calls):
         # orientation_forces at two separations, run concurrently in two
@@ -364,6 +433,38 @@ class TestCrossover:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == serial
+
+    def test_threads_fill_the_caches_with_the_serial_bits(self, fast_spec,
+                                                          bessel_calls,
+                                                          background_calls):
+        # Two threads probe different thicknesses at one (l, R, eps_b) from
+        # empty caches: each gets the serial bits, and the blocks they
+        # cached serve a third thickness with no Bessel, phi or psi call.
+        thicknesses = (20.0, 60.0, 40.0)
+        serial = [orientation_forces(array(d), 1000.0, fast_spec) for d in thicknesses]
+        bessel_calls.cold()
+        results = [None, None]
+
+        def run(i):
+            results[i] = orientation_forces(array(thicknesses[i]), 1000.0, fast_spec)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == serial[:2]
+        bessel_calls.clear()
+        background_calls.clear()
+        assert orientation_forces(array(40.0), 1000.0, fast_spec) == serial[2]
+        assert bessel_calls == []
+        assert background_calls == {}
 
     def test_bad_high_end_rejected_before_any_integral(self, monkeypatch):
         from casimir_slabs import quadrature

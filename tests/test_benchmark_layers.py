@@ -22,6 +22,7 @@ def _load(name):
 
 
 tracing = _load("tracing")
+workloads = _load("workloads")
 
 
 def _layers():
@@ -34,8 +35,38 @@ def test_traced_layer_is_a_package_function(package, module, attr):
     assert callable(getattr(owner, attr, None)), f"{package}.{module}.{attr}"
 
 
-@pytest.mark.parametrize("workload", _load("workloads").WORKLOADS.values(),
+@pytest.mark.parametrize("workload", workloads.WORKLOADS.values(),
                          ids=lambda workload: workload.name)
 def test_expected_metrics_are_reported(workload):
     reported = set(tracing.PASS_METRICS) | set(tracing.RUN_METRICS)
     assert set(workload.expect_nonzero) <= reported
+
+
+def test_warm_crossover_passes_report_the_same_nonzero_work(fast_spec):
+    # The node-block caches live as long as one (l, R) search, so every
+    # warm pass of the same searches counts the same work, none of it zero:
+    # a cache that outlived its search would read zero here first.
+    import casimir_slabs as cs
+
+    array = cs.NanotubeArraySlab(omega_p3d=2.0e16, radius_R=2.0, thickness_d=100.0,
+                                 eps_b=10.0)
+
+    def one_pass():  # through the package's name, which the tracer wraps
+        for l in (1000.0, 1100.0):
+            cs.crossover_thickness(array, l, (4.0, 100.0), fast_spec)
+
+    one_pass()  # imports scipy and caches the main terms
+    passes = []
+    for _ in range(2):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            one_pass()
+        finally:
+            tracer.remove()
+        passes.append(tracer.metrics())
+    names = workloads.Crossover.expect_nonzero
+    assert [name for name in names if not passes[0][name] > 0] == []
+    assert [name for name in names if not passes[1][name] > 0] == []
+    counts = [name for name in names if name in tracing.DETERMINISTIC]
+    assert [passes[0][n] for n in counts] == [passes[1][n] for n in counts]

@@ -211,9 +211,10 @@ def test_flag_table_matches_quantities():
         "preset fig2 --points 2 --d-points 3 --out {tmp}/x.csv",
         "preset fig3 --points 2 --panels a --out {tmp}/x.csv",
         "preset fig4 --points 2 --d-points 2 --l-points 2 --out {tmp}/x.csv",
-        # fig4 panels: none, or one that does not exist
+        # fig4 panels: none, one that does not exist, or one given twice
         "preset fig4 --panels= --points 1 --out {tmp}/x.csv",
         "preset fig4 --panels x --points 1 --out {tmp}/x.csv",
+        "preset fig4 --panels aa --d-points 1 --l-points 1 --out {tmp}/x.csv",
         # an abbreviated flag is not the flag it abbreviates
         "casimir --l 1000",
         # flags a point command does not have
@@ -896,8 +897,11 @@ class TestOnePassPerGrid:
         lambda out: sweep.run_preset("fig2", out, points=2.5),
         lambda out: sweep.run_sweep(sweep.SweepRequest(
             "casimir", {}, (sweep.SweepAxis("l", 100.0, 1000.0, 2.5),), str(out))),
+        lambda out: sweep.run_preset("fig4", out, panels=5),
+        lambda out: sweep.run_preset("fig4", out, panels="aa", d_points=1, l_points=1),
     ],
-    ids=["unknown", "zero", "zero-l", "numpy-zero", "negative", "float", "axis-float"],
+    ids=["unknown", "zero", "zero-l", "numpy-zero", "negative", "float", "axis-float",
+         "panels-int", "panels-repeated"],
 )
 def test_bad_library_grid_sizes_are_usage_errors(tmp_path, call):
     # The CLI's own checks never send these; the library rejects them

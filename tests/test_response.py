@@ -14,7 +14,8 @@ from casimir_slabs import (
     plasma_freq_isotropic,
     plasma_freq_nanotube,
 )
-from casimir_slabs.response import _tube_normalisation, fresnel_coeffs
+from casimir_slabs.quadrature import _X_STEP, _p_nodes, _tanh_sinh
+from casimir_slabs.response import _tube_block, _tube_factor, fresnel_coeffs
 
 OMEGA_P = 2.0e16
 
@@ -295,22 +296,46 @@ class TestDrude:
         assert damped < undamped
 
 
+def node_block(level):
+    """The (x, p, q) node block new at ``level`` of the default spec, shaped
+    as the engine passes it to a kernel, and its cache key."""
+    x = _tanh_sinh(40.0, _X_STEP, level)[0]
+    p, q = _p_nodes("hyperbolic", level)[:2]
+    block = x[:, None], p[None, :], q[None, :]
+    return block, tuple(nodes.tobytes() for nodes in block)
+
+
 class TestNormalisationCache:
     def test_cached_block_is_shared_and_read_only(self):
-        # every caller, in every thread, receives the one cached array, so
-        # none may write into it
-        z = np.array([[0.25, 1.0], [4.0, 16.0]])
-        value = _tube_normalisation(z.tobytes(), z.shape)
+        # every caller, in every thread, receives the one cached pair of
+        # arrays, so none may write into them
+        block, key = node_block(1)
+        k, norm = _tube_block(key, 1000.0, 2.0)
         in_thread = []
         thread = threading.Thread(
-            target=lambda: in_thread.append(_tube_normalisation(z.tobytes(), z.shape))
+            target=lambda: in_thread.append(_tube_block(key, 1000.0, 2.0))
         )
         thread.start()
         thread.join(timeout=60.0)
-        [shared] = in_thread
-        assert shared is value
-        assert np.array_equal(value, np.sqrt(2.0 * z * bessel_i0k0_product(z)))
-        with pytest.raises(ValueError, match="read-only"):
-            value *= 2.0
-        with pytest.raises(ValueError, match="read-only"):
-            value[0, 0] = 1.0
+        [(shared_k, shared_norm)] = in_thread
+        assert shared_k is k and shared_norm is norm
+        assert np.array_equal(k, momentum_from_xp(*block, 1000.0))
+        z = k * 2.0
+        assert np.array_equal(norm, np.sqrt(2.0 * z * bessel_i0k0_product(z)))
+        for value in (k, norm):
+            with pytest.raises(ValueError, match="read-only"):
+                value *= 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                value[0, 0] = 1.0
+
+    @pytest.mark.parametrize("level", [0, 3])
+    def test_kernel_factor_is_the_public_plasma_frequency(self, level):
+        # one description of the nanotube response: on a node block, the
+        # force kernel's omega_p3d / omega_p(k), from the cached k and
+        # normalisation, gives plasma_freq_nanotube bit for bit
+        slab = NanotubeArraySlab(omega_p3d=OMEGA_P, radius_R=2.0, thickness_d=20.0,
+                                 eps_b=10.0)
+        k, norm = _tube_block(node_block(level)[1], 1000.0, slab.radius_R)
+        factor = _tube_factor(k, slab, norm)
+        assert np.all(k > 0.0)
+        assert np.array_equal(plasma_freq_nanotube(k, slab), OMEGA_P / factor)
