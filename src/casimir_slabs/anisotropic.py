@@ -222,14 +222,47 @@ class CrossoverResult:
 CROSSOVER_XTOL_NM = 1.0e-3  # bracket width at which the search stops, nm
 
 
+def _brentq(f, xpre, xcur, fpre, fcur, xtol, rtol=4.0 * math.ulp(1.0), maxiter=100):
+    """(root, converged) of f on [xpre, xcur], where fpre and fcur differ in sign:
+    Brent's method (Algorithms for Minimization without Derivatives, 1973, ch. 4)."""
+    if fpre == 0.0:
+        return xpre, True
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):  # the root lies in [xpre, xcur]
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur holds the smaller value
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, True
+        short = abs(spre) > delta and abs(fcur) < abs(fpre)
+        if short and xpre == xblk:  # secant
+            stry = -fcur * (xcur - xpre) / (fcur - fpre)
+        elif short:  # inverse quadratic
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if short and 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:  # bisection
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(f(xcur))
+    return xcur, False
+
+
 def crossover_thickness(
     array_template: NanotubeArraySlab,
     l: float,
     d_range: tuple[float, float],
     spec: QuadratureSpec | None = None,
 ) -> CrossoverResult:
-    """Brent search (scipy.optimize.brentq) for the thickness at which
-    F_par - F_perp changes sign, to a bracket of CROSSOVER_XTOL_NM (1e-3 nm).
+    """Brent search (_brentq) for the thickness at which F_par - F_perp
+    changes sign, to a bracket of CROSSOVER_XTOL_NM (1e-3 nm).
 
     ``array_template`` supplies everything but the thickness, which is
     replaced per probe (so the d >= 2R invariant is enforced on every
@@ -237,11 +270,9 @@ def crossover_thickness(
     thickness is probed once.  A node block's k, Bessel normalisation and
     weights do not depend on the thickness: they are computed once per
     search (response._tube_block, _tube_weights), and a probe computes
-    only the film factor.  If brentq does not converge, ``crossover_d``
+    only the film factor.  If the search does not converge, ``crossover_d``
     is None; a failed probe raises QuadratureError.
     """
-    from scipy.optimize import brentq  # imported here: only this search needs it
-
     d_lo, d_hi = d_range
     if not d_lo < d_hi:
         raise ValueError(f"need d_lo < d_hi, got ({d_lo}, {d_hi})")
@@ -250,28 +281,26 @@ def crossover_thickness(
     probes: dict[float, OrientationForces] = {}
 
     def aniso(d: float) -> float:
-        if d not in probes:
-            forces = orientation_forces(replace(array_template, thickness_d=d), l, spec)
-            for res in (forces.f_parallel, forces.f_perp):
-                if res.validity == "quadrature_failed":
-                    raise QuadratureError(f"force quadrature failed at d = {d} nm")
-            probes[d] = forces
-        return probes[d].anisotropy
+        array = replace(array_template, thickness_d=d)
+        forces = probes[d] = orientation_forces(array, l, spec)
+        for res in (forces.f_parallel, forces.f_perp):
+            if res.validity == "quadrature_failed":
+                raise QuadratureError(f"force quadrature failed at d = {d} nm")
+        return forces.anisotropy
 
-    sign_lo = math.copysign(1.0, aniso(d_lo))
-    sign_hi = math.copysign(1.0, aniso(d_hi))
-    if sign_lo != sign_hi:
-        d, info = brentq(
-            aniso, d_lo, d_hi, xtol=CROSSOVER_XTOL_NM, full_output=True, disp=False
-        )
+    a_lo, a_hi = aniso(d_lo), aniso(d_hi)
+    sign_lo, sign_hi = math.copysign(1.0, a_lo), math.copysign(1.0, a_hi)
     root = d_error = None
-    if sign_lo != sign_hi and info.converged:
+    if sign_lo != sign_hi:
+        d, converged = _brentq(aniso, d_lo, d_hi, a_lo, a_hi, CROSSOVER_XTOL_NM)
+    if sign_lo != sign_hi and converged:
         # The root lies between d and the nearest probe of the other sign;
         # the error estimate at d over the secant slope widens that.
-        flipped = [e for e in probes if aniso(e) * aniso(d) <= 0.0 and e != d]
+        a = probes[d].anisotropy
+        flipped = [e for e in probes if probes[e].anisotropy * a <= 0.0 and e != d]
         other = min(flipped, key=lambda e: abs(e - d))
         err = probes[d].f_parallel.error_estimate + probes[d].f_perp.error_estimate
-        d_error = abs(other - d) * (1.0 + err / abs(aniso(other) - aniso(d)))
+        d_error = abs(other - d) * (1.0 + err / abs(probes[other].anisotropy - a))
         root = d
-    iterations = len(probes) - 2  # brentq's info.iterations is not a probe count
+    iterations = len(probes) - 2
     return CrossoverResult(root, (d_lo, d_hi), sign_lo, sign_hi, iterations, d_error)

@@ -55,7 +55,7 @@ def test_warm_crossover_passes_report_the_same_nonzero_work(fast_spec):
         for l in (1000.0, 1100.0):
             cs.crossover_thickness(array, l, (4.0, 100.0), fast_spec)
 
-    one_pass()  # imports scipy and caches the main terms
+    one_pass()  # caches the main terms
     passes = []
     for _ in range(2):
         tracer = tracing.Tracer()

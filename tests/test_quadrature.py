@@ -251,39 +251,51 @@ class TestDoubleIntegral:
         assert results == serial
 
 
-# Prints which of the heavy scipy subpackages a fresh interpreter loaded
-# after importing the package and running the given statements.
-SCIPY_PROBE = """
+# Prints, as JSON, the scipy modules and the given package modules that a
+# fresh interpreter loaded after importing the package and running the
+# given statements.
+MODULE_PROBE = """
 import json, sys
 import casimir_slabs
 from casimir_slabs import cli
 {}
-heavy = ("scipy.integrate", "scipy.optimize", "scipy.special")
-print(json.dumps([name for name in heavy if name in sys.modules]))
+names = [name for name in sys.modules if name == "scipy" or name.startswith("scipy.")]
+print(json.dumps(names + [name for name in {!r} if name in sys.modules]))
 """
 
 
-def scipy_loaded_by(statements: str) -> list[str]:
+def modules_loaded_by(statements: str, watched: tuple = ()) -> list[str]:
     src = Path(casimir_slabs.__file__).resolve().parents[1]
     done = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE.format(statements)],
+        [sys.executable, "-c", MODULE_PROBE.format(statements, watched)],
         capture_output=True, text=True, check=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def test_package_does_not_load_scipy_integrate():
-    # QUADPACK is a test oracle only (tests/oracle.py); scipy.special
-    # serves only the nanotube kernels and scipy.optimize the crossover
-    # search, so importing the package, the thin-limit coefficient and an
-    # iso-nonlocal point load none of the three.
-    iso = 'cli.main(["iso-nonlocal", "--d-nm", "10", "--l-nm", "1000"])'
-    assert scipy_loaded_by("casimir_slabs.thin_limit_coefficient()") == []
-    assert scipy_loaded_by(iso) == []
-    # The probe does see a load: a nanotube kernel needs scipy.special.
-    aniso = 'cli.main(["aniso", "--layers", "5", "--radius-nm", "2", "--l-nm", "1000"])'
-    assert scipy_loaded_by(aniso) == ["scipy.special"]
+def cli_ran(*argv: str) -> str:
+    """A probe statement running one command, which must succeed."""
+    return f"assert cli.main({list(argv)!r}) == 0"
+
+
+def test_package_does_not_load_scipy():
+    # QUADPACK, scipy.special and brentq are test oracles only
+    # (tests/oracle.py, tests/test_brent.py): importing the package, the
+    # thin-limit coefficient, an iso-nonlocal point, a nanotube force and
+    # a crossover search load no scipy module at all.
+    iso = cli_ran("iso-nonlocal", "--d-nm", "10", "--l-nm", "1000")
+    aniso = cli_ran("aniso", "--layers", "5", "--radius-nm", "2", "--l-nm", "1000")
+    crossover = cli_ran(
+        "crossover", "--l-nm", "1000", "--d-min-nm", "4", "--d-max-nm", "100"
+    )
+    assert modules_loaded_by("casimir_slabs.thin_limit_coefficient()") == []
+    assert modules_loaded_by(iso) == []
+    assert modules_loaded_by(crossover) == []
+    # The probe does see a load: the module of the Bessel product that the
+    # nanotube force runs.
+    watched = ("casimir_slabs.special",)
+    assert modules_loaded_by(aniso, watched) == ["casimir_slabs.special"]
 
 
 PUBLIC_NAMES = [

@@ -62,6 +62,26 @@ class TestBesselProduct:
         with pytest.raises(ValueError):
             bessel_i0k0_product(z)
 
+    def test_against_mpmath_at_40_digits(self):
+        # log-spaced over [1e-10, 1e6], denser where the K0 series cancels
+        # (1 < z <= 2), plus the branch joins z = 2 and 20 and the three
+        # floats on either side of each
+        joins = []
+        for join in (2.0, 20.0):
+            below = above = join
+            for _ in range(3):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+                joins += [below, above]
+            joins.append(join)
+        grid = np.concatenate(
+            [np.geomspace(1e-10, 1e6, 400), np.linspace(1.0, 2.0, 101), joins]
+        )
+        values = bessel_i0k0_product(grid)
+        with mpmath.workdps(40):
+            for z, value in zip(grid, values):
+                exact = mpmath.besseli(0, z) * mpmath.besselk(0, z)
+                assert abs(value - exact) <= 2.0e-15 * exact, z
+
 
 def zeta_series(s: float, n_terms: int = 200) -> float:
     """Independent zeta via direct series plus Euler-Maclaurin tail."""
