@@ -15,8 +15,10 @@ tail beyond the window and below its first node, and a roundoff floor
 of a few eps sum |w f|.  A tolerance below that floor is reported as not
 converged, never clamped.  Each call allocates one buffer sized for its
 deepest level and fills its leading block level by level, with no copy
-between levels.  Kernels only ever see fresh arrays, never the cached
-node sets, so every entry point may be used from several threads.
+between levels.  The nodes and weights of every level are built once per
+(x_max, p substitution) and kept read-only: kernels receive views of
+them, so every entry point may be used from several threads, and a
+kernel that writes into its arguments raises ValueError.
 """
 
 from __future__ import annotations
@@ -129,6 +131,7 @@ def _p_nodes(transform: str, level: int) -> tuple[np.ndarray, ...]:
     return p, q, jac * dy, y, jac
 
 
+@lru_cache(maxsize=None)
 def _p_end_weights(transform: str, order: float) -> tuple[float, float]:
     """Multipliers turning |f| at the last and first p node into bounds on
     the integral beyond the window, twice the tail of the slowest allowed
@@ -139,23 +142,31 @@ def _p_end_weights(transform: str, order: float) -> tuple[float, float]:
     return beyond * jac[-1], y[0] * jac[0] / (2.0 - 2.0 * order)
 
 
-def _block(f: Callable, x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    with np.errstate(all="ignore"):  # a non-finite sum is reported, not warned
-        values = f(x[:, None], p[None, :], q[None, :])
-    return np.broadcast_to(values, (x.size, p.size))
-
-
 # integrate_p_axis alone: one x node of unit weight at level 0, then none
 _UNIT_X = ((np.zeros(1), np.ones(1)), (np.empty(0), np.empty(0)))
 
 
 @lru_cache(maxsize=None)
-def _deepest_grid(x_max: float, transform: str, with_x: bool) -> tuple[int, int]:
-    """(x, p) node counts of the grid at the last level."""
-    levels = range(_MAX_LEVEL + 1)
-    nx = sum(_tanh_sinh(x_max, _X_STEP, level)[0].size for level in levels)
-    npp = sum(_p_nodes(transform, level)[0].size for level in levels)
-    return (nx if with_x else 1), npp
+def _levels(x_max: float, transform: str, with_x: bool) -> tuple:
+    """Read-only (x, wx, p, q, wp) of each level: the nodes of that level
+    and all earlier ones, earlier levels first, with that level's weights."""
+    p_step = _P_RULES[transform][1]
+    x = dx = p = q = dp = np.empty(0)
+    levels = []
+    for level in range(_MAX_LEVEL + 1):
+        x_new, dx_new = (
+            _tanh_sinh(x_max, _X_STEP, level) if with_x else _UNIT_X[level > 0]
+        )
+        p_new, q_new, dp_new = _p_nodes(transform, level)[:3]
+        x, dx = np.concatenate((x, x_new)), np.concatenate((dx, dx_new))
+        p, q = np.concatenate((p, p_new)), np.concatenate((q, q_new))
+        dp = np.concatenate((dp, dp_new))
+        wx = dx * (_X_STEP / 2 ** level if with_x else 1.0)
+        wp = dp * (p_step / 2 ** level)
+        for nodes in (x, wx, p, q, wp):
+            nodes.flags.writeable = False
+        levels.append((x, wx, p, q, wp))
+    return tuple(levels)
 
 
 def integrate_p_axis(
@@ -179,51 +190,43 @@ def integrate_p_axis(
     spec = spec or QuadratureSpec()
     kernel = f if with_x else lambda x, p, q: f(p, q)
     beyond, below = _p_end_weights(spec.p_transform, singularity_order)
-    p_step = _P_RULES[spec.p_transform][1]
+    levels = _levels(spec.x_max, spec.p_transform, with_x)
     # Level-0 nodes come first, so the window's last nodes keep their index.
-    last_p = _p_nodes(spec.p_transform, 0)[0].size - 1
-    last_x = _tanh_sinh(spec.x_max, _X_STEP, 0)[0].size - 1
+    last_x, last_p = levels[0][0].size - 1, levels[0][2].size - 1
     # One buffer sized for the deepest level: level L fills the leading
     # [:nx, :np] block of `values`, where the earlier levels' entries
     # already sit, and writes its magnitudes contiguously into the rest.
     # Separate per-level arrays let glibc trim and regrow the heap on
     # every call, and a strided magnitude block is slow to sum.
-    shape = _deepest_grid(spec.x_max, spec.p_transform, with_x)
+    shape = levels[-1][0].size, levels[-1][2].size
     values, magnitudes = np.empty((2, shape[0] * shape[1]))
     values = values.reshape(shape)
-    x = dx = p = q = dp = np.empty(0)
+    nx = npp = 0
     previous, evaluations = None, 0
-    for level in range(_MAX_LEVEL + 1):
-        x_new, dx_new = (
-            _tanh_sinh(spec.x_max, _X_STEP, level) if with_x else _UNIT_X[level > 0]
-        )
-        p_new, q_new, dp_new = _p_nodes(spec.p_transform, level)[:3]
-        nx, npp = x.size, p.size
-        x, dx = np.concatenate((x, x_new)), np.concatenate((dx, dx_new))
-        p, q = np.concatenate((p, p_new)), np.concatenate((q, q_new))
-        dp = np.concatenate((dp, dp_new))
-        grid = values[: x.size, : p.size]
-        grid[:, npp:] = _block(kernel, x, p[npp:], q[npp:])
-        if x.size > nx and npp:  # level 0 has no earlier p nodes
-            grid[nx:, :npp] = _block(kernel, x[nx:], p[:npp], q[:npp])
-        evaluations += grid.size - nx * npp
-        wx = dx * (_X_STEP / 2 ** level if with_x else 1.0)
-        wp = dp * (p_step / 2 ** level)
-        value = float(wx @ grid @ wp)
-        if not math.isfinite(value):
-            return IntegralResult(value, math.inf, False, evaluations)
-        magnitude = np.abs(grid, out=magnitudes[: grid.size].reshape(grid.shape))
-        floor = _ROUNDOFF * float(wx @ magnitude @ wp)
-        tails = float(wx @ (beyond * magnitude[:, last_p] + below * magnitude[:, 0]))
-        if with_x:
-            tails += 2.0 * float(magnitude[last_x] @ wp)
-        tolerance = max(spec.abs_tol, spec.rel_tol * abs(value))
-        if previous is not None:
-            err = abs(value - previous) + tails + floor
-            # Once the floor is all that is left, no finer level can help.
-            if err <= max(tolerance, 2.0 * floor):
-                return IntegralResult(value, err, err <= tolerance, evaluations)
-        previous = value
+    with np.errstate(all="ignore"):  # a non-finite sum is reported, not warned
+        for x, wx, p, q, wp in levels:
+            grid = values[: x.size, : p.size]
+            grid[:, npp:] = kernel(x[:, None], p[None, npp:], q[None, npp:])
+            if x.size > nx and npp:  # level 0 has no earlier p nodes
+                grid[nx:, :npp] = kernel(x[nx:, None], p[None, :npp], q[None, :npp])
+            evaluations += grid.size - nx * npp
+            nx, npp = x.size, p.size
+            value = float(wx @ grid @ wp)
+            if not math.isfinite(value):
+                return IntegralResult(value, math.inf, False, evaluations)
+            magnitude = np.abs(grid, out=magnitudes[: grid.size].reshape(grid.shape))
+            floor = _ROUNDOFF * float(wx @ magnitude @ wp)
+            tails = wx @ (beyond * magnitude[:, last_p] + below * magnitude[:, 0])
+            tails = float(tails)
+            if with_x:
+                tails += 2.0 * float(magnitude[last_x] @ wp)
+            tolerance = max(spec.abs_tol, spec.rel_tol * abs(value))
+            if previous is not None:
+                err = abs(value - previous) + tails + floor
+                # Once the floor is all that is left, no finer level can help.
+                if err <= max(tolerance, 2.0 * floor):
+                    return IntegralResult(value, err, err <= tolerance, evaluations)
+            previous = value
     return IntegralResult(value, err, False, evaluations)
 
 

@@ -250,6 +250,22 @@ class TestDoubleIntegral:
             sys.setswitchinterval(interval)
         assert results == serial
 
+    @pytest.mark.parametrize("written", [0, 1, 2])
+    def test_kernel_cannot_write_into_the_shared_nodes(self, spec, written):
+        # Every integral and thread reads the same node sets, so a kernel
+        # that wrote into its x, p or q would corrupt the later levels of
+        # its own integral and every later one; the write raises instead.
+        def f(*nodes):
+            target = nodes[written]
+            target *= 2.0
+            return np.exp(-nodes[0]) / (nodes[1] * nodes[1])
+
+        with pytest.raises(ValueError, match="read-only"):
+            integrate_xp(f, spec)
+        res = integrate_xp(lambda x, p, q: np.exp(-x) / (p * p), spec)
+        assert res.converged
+        assert res.value == pytest.approx(1.0, rel=1e-7)
+
 
 # Prints, as JSON, the scipy modules and the given package modules that a
 # fresh interpreter loaded after importing the package and running the
