@@ -25,7 +25,7 @@ from .lifshitz import RATIO_NORM, ForceResult, _bose, _nonlocal_force
 from .quadrature import _MAX_LEVEL, IntegralResult, QuadratureError, QuadratureSpec
 from .quadrature import integrate_xp
 from .response import NanotubeArraySlab, _node_block, _require_background
-from .response import _tube_block, _tube_factor, fresnel_coeffs
+from .response import _tube_normalisation, fresnel_coeffs, momentum_from_xp
 
 __all__ = [
     "phi",
@@ -119,33 +119,23 @@ def _tube_scale(array: NanotubeArraySlab) -> float:
     return math.sqrt(array.period_Delta / (2.0 * math.pi * array.radius_R))
 
 
-# Keyed like response._tube_block, plus eps_b: the weights read neither
-# l nor R, but an entry then lives as long as one (l, R) search.
+# Keyed like lifshitz._film_ratio, plus l, R and eps_b: one entry serves
+# every thickness, so a crossover search computes each block once.
 @lru_cache(maxsize=2 * _MAX_LEVEL + 1)
 def _tube_weights(key: tuple, l: float, radius: float, eps_b: float) -> tuple:
-    """Read-only co-aligned and crossed weights of one node block,
-    x^4 e^x/(e^x - 1)^2/p^4 and x^4 e^x [phi p/(phi e^x - 1)^2 -
-    (psi/p)/(psi e^x + 1)^2]/p^3, folded with e^(-2x) so nothing grows."""
-    x, p, _ = _node_block(key)
+    """Read-only co-aligned and crossed weights of one node block over the
+    tube normalisation sqrt(2 z I0 K0), z = k R: x^4 e^x/(e^x - 1)^2/p^4
+    and x^4 e^x [phi p/(phi e^x - 1)^2 - (psi/p)/(psi e^x + 1)^2]/p^3,
+    folded with e^(-2x) so nothing grows."""
+    x, p, q = _node_block(key)
+    norm = _tube_normalisation(momentum_from_xp(x, p, q, l) * radius)
     emx = np.exp(-x)
     ph = phi(p, eps_b)
     ps = psi(p, eps_b)
     bracket = ph * p / (ph - emx) ** 2 - (ps / p) / (ps + emx) ** 2
-    weights = _bose(x) / (p * p) ** 2, x ** 4 * emx * bracket / p ** 3
+    weights = _bose(x) / (p * p) ** 2 / norm, x ** 4 * emx * bracket / p ** 3 / norm
     weights[0].flags.writeable = weights[1].flags.writeable = False
     return weights
-
-
-def _tube_kernel(array: NanotubeArraySlab, l: float, orientation: int):
-    """Correction integrand of one orientation (0 co-aligned, 1 crossed):
-    cached weight times _tube_factor of the cached k and normalisation."""
-    def kernel(x, p, q):
-        key = x.tobytes(), p.tobytes(), q.tobytes()
-        k, norm = _tube_block(key, l, array.radius_R)
-        weights = _tube_weights(key, l, array.radius_R, array.eps_b)
-        return weights[orientation] * _tube_factor(k, array, norm)
-
-    return kernel
 
 
 def f_parallel_ratio(
@@ -158,7 +148,8 @@ def f_parallel_ratio(
     return _nonlocal_force(
         array, l, spec,
         main=lambda: _main(0.5, _main_parallel_integral(array.eps_b, spec)),
-        kernel=_tube_kernel(array, l, 0), order=0.5, scale=_tube_scale(array),
+        weight=lambda key: _tube_weights(key, l, array.radius_R, array.eps_b)[0],
+        order=0.5, scale=_tube_scale(array),
     )
 
 
@@ -173,7 +164,8 @@ def f_perp_ratio(
     return _nonlocal_force(
         array, l, spec,
         main=lambda: _main(0.0, _main_perp_integral(array.eps_b, spec)),
-        kernel=_tube_kernel(array, l, 1), order=0.5, scale=0.5 * _tube_scale(array),
+        weight=lambda key: _tube_weights(key, l, array.radius_R, array.eps_b)[1],
+        order=0.5, scale=0.5 * _tube_scale(array),
     )
 
 
@@ -195,8 +187,8 @@ def orientation_forces(
     array: NanotubeArraySlab, l: float, spec: QuadratureSpec | None = None
 ) -> OrientationForces:
     """Co-aligned and crossed force ratios of one slab pair; the crossed
-    orientation reads each node block's k, normalisation and weight from
-    the caches (response._tube_block, _tube_weights) the co-aligned filled."""
+    orientation reads each node block's r and normalised weight from the
+    caches (lifshitz._film_ratio, _tube_weights) the co-aligned filled."""
     return OrientationForces(
         f_parallel_ratio(array, l, spec), f_perp_ratio(array, l, spec)
     )
@@ -267,11 +259,12 @@ def crossover_thickness(
     ``array_template`` supplies everything but the thickness, which is
     replaced per probe (so the d >= 2R invariant is enforced on every
     evaluation, and on both bracket ends before the first probe).  Each
-    thickness is probed once.  A node block's k, Bessel normalisation and
-    weights do not depend on the thickness: they are computed once per
-    search (response._tube_block, _tube_weights), and a probe computes
-    only the film factor.  If the search does not converge, ``crossover_d``
-    is None; a failed probe raises QuadratureError.
+    thickness is probed once.  A node block's weights over the Bessel
+    normalisation do not depend on the thickness: they are computed once
+    per search (_tube_weights), and r = p/(x q) once per process
+    (lifshitz._film_ratio), so a probe computes only the film factor
+    sqrt(1 + beta r) and one product.  If the search does not converge,
+    ``crossover_d`` is None; a failed probe raises QuadratureError.
     """
     d_lo, d_hi = d_range
     if not d_lo < d_hi:

@@ -21,13 +21,9 @@ from typing import Callable, Literal
 import numpy as np
 
 from .constants import C_NM_PER_S, HBAR_C_J_M, PI4
-from .quadrature import (
-    QuadratureError,
-    QuadratureSpec,
-    integrate_p_axis,
-    integrate_xp,
-)
-from .response import IsotropicSlab, _film_factor, eps_tilde, momentum_from_xp
+from .quadrature import _MAX_LEVEL, QuadratureError, QuadratureSpec
+from .quadrature import integrate_p_axis, integrate_xp
+from .response import IsotropicSlab, _film_factor, _node_block, eps_tilde
 from .response import _plain, _require
 from .special import bose_integral
 
@@ -169,18 +165,46 @@ def _bose(x):
     return x ** 4 * np.exp(-x) / np.expm1(-x) ** 2
 
 
-def _nonlocal_force(slab, l, spec, *, main, kernel, order, scale):
+# One integral touches at most 2 * _MAX_LEVEL + 1 node blocks (one at level
+# 0, two at each later level).  Keyed on a block's node bytes alone, every
+# correction integral, in every thread, reads the arrays the miss computed.
+@lru_cache(maxsize=2 * _MAX_LEVEL + 1)
+def _film_ratio(key: tuple) -> np.ndarray:
+    """Read-only r = p/(x q) of a node block: 1/(eps~ k d) = 2 l/(eps~ d) r."""
+    x, p, q = _node_block(key)
+    r = p / (x * q)
+    r.flags.writeable = False
+    return r
+
+
+@lru_cache(maxsize=2 * _MAX_LEVEL + 1)
+def _film_weight(key: tuple) -> np.ndarray:
+    """Read-only film weight x^4 e^x/(e^x - 1)^2 (p^2+1)/p^4 of a node block."""
+    x, p, _ = _node_block(key)
+    weight = _bose(x) * ((p * p + 1.0) / (p * p) ** 2)
+    weight.flags.writeable = False
+    return weight
+
+
+def _nonlocal_force(slab, l, spec, *, main, weight, order, scale):
     """A main term minus the finite-plasma-frequency correction, the one
     construction of the film and both nanotube-array forces.
 
     ``main()`` gives the main term's (value, error, converged); it runs
     after the separation check.  The correction is 15 c scale/(pi^4
-    omega_p3d l) times the (x, p) integral of kernel(x, p, q), a weight
-    times F = omega_p3d/omega_p(k) at k = x q/(2 p l), whose p integrand
-    diverges as (p^2-1)^(-order) at p = 1.
+    omega_p3d l) times the (x, p) integral of weight(key), the cached
+    weight of the node block whose x, p and q have the bytes ``key``,
+    times the film factor sqrt(1 + beta r), beta = 2 l/(eps~ d).  The p
+    integrand diverges as (p^2-1)^(-order) at p = 1.
     """
     f_c = casimir_pressure(l)
     main_value, main_error, main_converged = main()
+    beta = 2.0 * l / (eps_tilde(slab) * slab.thickness_d)
+
+    def kernel(x, p, q):
+        key = x.tobytes(), p.tobytes(), q.tobytes()
+        return weight(key) * _film_factor(beta, _film_ratio(key))
+
     res = integrate_xp(kernel, spec, p_singularity_order=order)
     coef = _over(15.0 * C_NM_PER_S * scale, PI4 * slab.omega_p3d * l)
     corr = coef * res.value
@@ -199,12 +223,8 @@ def nonlocal_isotropic_ratio(
     which diverges as (p^2-1)^(-1/4) at normal incidence, an integrable
     factor in the p integrand.
     """
-    def kernel(x, p, q):
-        factor = _film_factor(momentum_from_xp(x, p, q, l), slab)
-        return _bose(x) * ((p * p + 1.0) / (p * p) ** 2 * factor)
-
     return _nonlocal_force(slab, l, spec, main=lambda: (1.0, 0.0, True),
-                           kernel=kernel, order=0.25, scale=1.0)
+                           weight=_film_weight, order=0.25, scale=1.0)
 
 
 @lru_cache(maxsize=None)

@@ -7,21 +7,19 @@ isotropic film and of the aligned-nanotube array, the (x, p) -> k
 mapping used inside the force integrands, the half-space Fresnel pair
 and the local Drude permittivity evaluated at omega = i*xi.
 
-Lengths are nm, angular frequencies s^-1.  All functions are pure; the
-momentum and tube normalisation of the last 11 node blocks are kept in one
-cache that all threads share (see _tube_block), which changes no value.
+Lengths are nm, angular frequencies s^-1.  All functions are pure and
+keep no state; the force kernels cache their node-block factors next to
+themselves (lifshitz._film_ratio, anisotropic._tube_weights).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
 
-from .quadrature import _MAX_LEVEL
 from .special import bessel_i0k0_product
 
 __all__ = [
@@ -153,10 +151,11 @@ def momentum_from_xp(x, p, q, l: float):
     return x * (q / (2.0 * p * l))
 
 
-def _film_factor(k, slab: Slab):
-    """omega_p3d / omega_p(k) of the isotropic film, sqrt(1 + 1/(eps~ k d)),
-    for k > 0."""
-    return np.sqrt(1.0 + 1.0 / (eps_tilde(slab) * slab.thickness_d) / k)
+def _film_factor(beta, r):
+    """omega_p3d / omega_p(k) of the isotropic film, sqrt(1 + beta r) with
+    beta r = 1/(eps~ k d): the plasma frequencies pass beta = 1/(eps~ d)
+    and r = 1/k, the force kernels beta = 2 l/(eps~ d) and r = p/(x q)."""
+    return np.sqrt(1.0 + beta * r)
 
 
 def _tube_normalisation(z):
@@ -166,14 +165,6 @@ def _tube_normalisation(z):
     return np.asarray(np.sqrt(2.0 * z * bessel_i0k0_product(z)))
 
 
-def _tube_factor(k, slab: NanotubeArraySlab, norm=None):
-    """omega_p3d / omega_p(k) of the nanotube array for k > 0: the film
-    factor over ``norm``, by default _tube_normalisation(k R)."""
-    if norm is None:
-        norm = _tube_normalisation(k * slab.radius_R)
-    return _film_factor(k, slab) / norm
-
-
 def _node_block(key: tuple):
     """The read-only (x, p, q) of the bytes (x, p, q) of a node block as the
     kernels receive it: x a column, p and q rows."""
@@ -181,28 +172,19 @@ def _node_block(key: tuple):
     return x[:, None], p[None, :], q[None, :]
 
 
-# One integral touches at most 2 * _MAX_LEVEL + 1 node blocks (one at
-# level 0, two at each later level), so the cache holds every block of
-# one integral, and every integral at one (l, R, spec) reuses them.
-@lru_cache(maxsize=2 * _MAX_LEVEL + 1)
-def _tube_block(key: tuple, l: float, radius: float) -> tuple:
-    """Read-only k and _tube_normalisation(k R) of node block ``key`` at l:
-    every integral at (l, R), whatever the thickness, reads the arrays the
-    miss computed, in every thread."""
-    k = momentum_from_xp(*_node_block(key), l)
-    norm = _tube_normalisation(k * radius)
-    k.flags.writeable = norm.flags.writeable = False
-    return k, norm
-
-
-def _plasma_freq(k, slab: Slab, factor: Callable):
-    """omega_p3d / factor(k) for k > 0, and 0 at k = 0 by continuity."""
+def _plasma_freq(k, slab: Slab, tube: bool):
+    """omega_p3d over the film factor at k, divided by the tube
+    normalisation at z = k R if ``tube``, for k > 0; 0 at k = 0 by
+    continuity."""
     k = np.asarray(k, dtype=float)
     if not np.all(k >= 0.0):
         raise ValueError(f"momentum must be >= 0, got {np.min(k)}")
     zero = k == 0.0
-    omega = slab.omega_p3d / factor(np.where(zero, 1.0, k), slab)
-    return np.where(zero, 0.0, omega)[()]
+    k = np.where(zero, 1.0, k)
+    factor = _film_factor(1.0 / (eps_tilde(slab) * slab.thickness_d), 1.0 / k)
+    if tube:
+        factor = factor / _tube_normalisation(k * slab.radius_R)
+    return np.where(zero, 0.0, slab.omega_p3d / factor)[()]
 
 
 def plasma_freq_isotropic(k, slab: Slab):
@@ -212,7 +194,7 @@ def plasma_freq_isotropic(k, slab: Slab):
     value for k d -> inf and to the sqrt(k)-dispersive two-dimensional
     form for small k.  0 at k = 0 by continuity; k may be an array.
     """
-    return _plasma_freq(k, slab, _film_factor)
+    return _plasma_freq(k, slab, tube=False)
 
 
 def plasma_freq_nanotube(q, slab: NanotubeArraySlab):
@@ -224,7 +206,7 @@ def plasma_freq_nanotube(q, slab: NanotubeArraySlab):
     isotropic film expression is recovered.  0 at q = 0 by continuity;
     q may be an array.
     """
-    return _plasma_freq(q, slab, _tube_factor)
+    return _plasma_freq(q, slab, tube=True)
 
 
 def fresnel_coeffs(eps, p):

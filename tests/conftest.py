@@ -1,7 +1,7 @@
 import pytest
 
 from casimir_slabs import IsotropicSlab, NanotubeArraySlab, QuadratureSpec
-from casimir_slabs import anisotropic, response
+from casimir_slabs import anisotropic, lifshitz, response
 
 OMEGA_P = 2.0e16  # free-electron-gas bulk plasma frequency, 1/s
 
@@ -37,7 +37,8 @@ class BesselCalls(list):
     def cold(self):
         """Forget the calls counted so far and empty the node-block caches."""
         self.clear()
-        response._tube_block.cache_clear()
+        lifshitz._film_ratio.cache_clear()
+        lifshitz._film_weight.cache_clear()
         anisotropic._tube_weights.cache_clear()
 
 

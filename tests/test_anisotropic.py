@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from casimir_slabs import (
+    IsotropicSlab,
     NanotubeArraySlab,
     QuadratureError,
     QuadratureSpec,
@@ -18,6 +19,7 @@ from casimir_slabs import (
     lifshitz_pressure_general,
     main_term_parallel,
     main_term_perp,
+    nonlocal_isotropic_ratio,
     orientation_forces,
     phi,
     psi,
@@ -393,13 +395,15 @@ class TestCrossover:
         from casimir_slabs import anisotropic
         from casimir_slabs.lifshitz import _bose
         from casimir_slabs.quadrature import _p_nodes, _tanh_sinh
+        from casimir_slabs.response import _tube_normalisation, momentum_from_xp
 
         x = _tanh_sinh(40.0, 0.5, 1)[0][:, None]
         p, q = (nodes[None, :] for nodes in _p_nodes("hyperbolic", 1)[:2])
         key = x.tobytes(), p.tobytes(), q.tobytes()
         weights = anisotropic._tube_weights(key, 1000.0, 2.0, 10.0)
         assert anisotropic._tube_weights(key, 1000.0, 2.0, 10.0) is weights
-        assert np.array_equal(weights[0], _bose(x) / (p * p) ** 2)
+        norm = _tube_normalisation(momentum_from_xp(x, p, q, 1000.0) * 2.0)
+        assert np.array_equal(weights[0], _bose(x) / (p * p) ** 2 / norm)
         for weight in weights:
             assert weight.shape == (x.size, p.size)
             with pytest.raises(ValueError, match="read-only"):
@@ -408,23 +412,30 @@ class TestCrossover:
                 weight[0, 0] = 1.0
 
     def test_threads_share_the_cache_bit_for_bit(self, fast_spec, bessel_calls):
-        # orientation_forces at two separations, run concurrently in two
-        # threads from an empty normalisation cache, return the bits of
-        # the serial calls
+        # orientation_forces at two separations and film forces at four
+        # (d, l), run concurrently in six threads from empty node-block
+        # caches, return the bits of the serial calls
         slab = array(20.0)
         separations = (500.0, 1000.0)
-        serial = [orientation_forces(slab, l, fast_spec) for l in separations]
+        films = [(IsotropicSlab(omega_p3d=OMEGA_P, thickness_d=d, eps_b=9.0), l)
+                 for d, l in ((10.0, 1000.0), (10.0, 300.0), (200.0, 1000.0),
+                              (1.0, 5000.0))]
+        calls = [(orientation_forces, (slab, l, fast_spec)) for l in separations]
+        calls += [(nonlocal_isotropic_ratio, (film, l, fast_spec)) for film, l in films]
+        serial = [f(*args) for f, args in calls]
         bessel_calls.cold()
-        results = [None, None]
+        results = [None] * len(calls)
 
         def run(i):
+            f, args = calls[i]
             for _ in range(3):
-                results[i] = orientation_forces(slab, separations[i], fast_spec)
+                results[i] = f(*args)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(len(calls))]
             for thread in threads:
                 thread.start()
             for thread in threads:

@@ -15,8 +15,10 @@ from casimir_slabs import (
     thin_limit_coefficient,
     thin_limit_ratio,
 )
+from casimir_slabs import QuadratureSpec, eps_tilde, lifshitz, momentum_from_xp
 from casimir_slabs.constants import C_NM_PER_S, HBAR_C_J_M
-from casimir_slabs.lifshitz import _thin_limit_parts
+from casimir_slabs.lifshitz import _film_ratio, _film_weight, _thin_limit_parts
+from casimir_slabs.quadrature import _levels
 
 OMEGA_P = 2.0e16
 
@@ -194,6 +196,56 @@ class TestNonlocalIsotropic:
     def test_correction_dominant_flag(self, fast_spec):
         res = nonlocal_isotropic_ratio(film(10.0), 120.0, fast_spec)
         assert res.validity == "correction_dominant"
+
+
+def empty_film_caches():
+    _film_ratio.cache_clear()
+    _film_weight.cache_clear()
+
+
+class TestFilmCache:
+    # rel_tol below the roundoff floor: every level runs, so one integral
+    # touches all 2 * _MAX_LEVEL + 1 node blocks
+    EVERY_LEVEL = QuadratureSpec(rel_tol=1e-15, abs_tol=0.0)
+
+    def test_cold_cache_gives_the_warm_bits(self, spec):
+        empty_film_caches()
+        cold = nonlocal_isotropic_ratio(film(10.0), 1000.0, spec)
+        assert _film_ratio.cache_info().misses > 0
+        nonlocal_isotropic_ratio(film(200.0), 300.0, spec)
+        warm = nonlocal_isotropic_ratio(film(10.0), 1000.0, spec)
+        assert warm == cold
+
+    def test_second_point_adds_no_miss(self):
+        # r and the film weight depend on the node alone: a point at
+        # another (d, l) reads every block the first one computed
+        empty_film_caches()
+        nonlocal_isotropic_ratio(film(10.0), 1000.0, self.EVERY_LEVEL)
+        before = _film_ratio.cache_info(), _film_weight.cache_info()
+        assert [info.misses for info in before] == [11, 11]
+        nonlocal_isotropic_ratio(film(200.0), 300.0, self.EVERY_LEVEL)
+        after = _film_ratio.cache_info(), _film_weight.cache_info()
+        assert [info.misses for info in after] == [11, 11]
+        assert [info.hits for info in after] == [info.hits + 11 for info in before]
+
+    @pytest.mark.parametrize("d", [1.0, 10.0, 200.0])
+    @pytest.mark.parametrize("l", [50.0, 1000.0, 5000.0])
+    def test_film_factor_of_beta_r_is_that_of_k(self, monkeypatch, d, l):
+        # The kernels enter omega_p3d/omega_p(k) = sqrt(1 + 1/(eps~ d k)),
+        # k = x q/(2 p l), as sqrt(1 + beta r), beta = 2 l/(eps~ d) and
+        # r = p/(x q).  With the beta the force passes, the two agree
+        # within 4 ulp on every node of levels 0-5.
+        slab, factor, betas = film(d), lifshitz._film_factor, []
+        monkeypatch.setattr(lifshitz, "_film_factor",
+                            lambda beta, r: betas.append(beta) or factor(beta, r))
+        nonlocal_isotropic_ratio(slab, l, QuadratureSpec(rel_tol=1e-4))
+        assert len(set(betas)) == 1
+        x, _, p, q, _ = _levels(40.0, "hyperbolic", True)[-1]
+        block = x[:, None], p[None, :], q[None, :]
+        new = factor(betas[0], _film_ratio(tuple(n.tobytes() for n in block)))
+        k = momentum_from_xp(*block, l)
+        old = np.sqrt(1.0 + 1.0 / (eps_tilde(slab) * d) / k)
+        assert np.all(np.abs(new - old) <= 4.0 * np.spacing(old))
 
 
 class TestThinLimit:

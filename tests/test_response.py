@@ -14,8 +14,11 @@ from casimir_slabs import (
     plasma_freq_isotropic,
     plasma_freq_nanotube,
 )
+from casimir_slabs import lifshitz, orientation_forces, phi, psi
+from casimir_slabs.anisotropic import _tube_weights
+from casimir_slabs.lifshitz import _bose
 from casimir_slabs.quadrature import _X_STEP, _p_nodes, _tanh_sinh
-from casimir_slabs.response import _tube_block, _tube_factor, fresnel_coeffs
+from casimir_slabs.response import _film_factor, _tube_normalisation, fresnel_coeffs
 
 OMEGA_P = 2.0e16
 
@@ -308,34 +311,55 @@ def node_block(level):
 class TestNormalisationCache:
     def test_cached_block_is_shared_and_read_only(self):
         # every caller, in every thread, receives the one cached pair of
-        # arrays, so none may write into them
+        # weights, each over the tube normalisation, so none may write
+        # into them
         block, key = node_block(1)
-        k, norm = _tube_block(key, 1000.0, 2.0)
+        weights = _tube_weights(key, 1000.0, 2.0, 10.0)
         in_thread = []
         thread = threading.Thread(
-            target=lambda: in_thread.append(_tube_block(key, 1000.0, 2.0))
+            target=lambda: in_thread.append(_tube_weights(key, 1000.0, 2.0, 10.0))
         )
         thread.start()
         thread.join(timeout=60.0)
-        [(shared_k, shared_norm)] = in_thread
-        assert shared_k is k and shared_norm is norm
-        assert np.array_equal(k, momentum_from_xp(*block, 1000.0))
-        z = k * 2.0
-        assert np.array_equal(norm, np.sqrt(2.0 * z * bessel_i0k0_product(z)))
-        for value in (k, norm):
+        [shared] = in_thread
+        assert shared is weights
+        assert shared[0] is weights[0] and shared[1] is weights[1]
+        x, p, _ = block
+        z = momentum_from_xp(*block, 1000.0) * 2.0
+        norm = np.sqrt(2.0 * z * bessel_i0k0_product(z))
+        emx, ph, ps = np.exp(-x), phi(p, 10.0), psi(p, 10.0)
+        bracket = ph * p / (ph - emx) ** 2 - (ps / p) / (ps + emx) ** 2
+        assert np.array_equal(weights[0], _bose(x) / (p * p) ** 2 / norm)
+        assert np.array_equal(weights[1], x ** 4 * emx * bracket / p ** 3 / norm)
+        for value in weights:
             with pytest.raises(ValueError, match="read-only"):
                 value *= 2.0
             with pytest.raises(ValueError, match="read-only"):
                 value[0, 0] = 1.0
 
     @pytest.mark.parametrize("level", [0, 3])
-    def test_kernel_factor_is_the_public_plasma_frequency(self, level):
+    def test_kernel_factor_is_the_public_plasma_frequency(self, level, monkeypatch):
         # one description of the nanotube response: on a node block, the
-        # force kernel's omega_p3d / omega_p(k), from the cached k and
-        # normalisation, gives plasma_freq_nanotube bit for bit
+        # force kernel is the cached weight over _tube_normalisation times
+        # _film_factor(2 l/(eps~ d), p/(x q)), and plasma_freq_nanotube is
+        # omega_p3d over _film_factor(1/(eps~ d), 1/k) / _tube_normalisation,
+        # both bit for bit
         slab = NanotubeArraySlab(omega_p3d=OMEGA_P, radius_R=2.0, thickness_d=20.0,
                                  eps_b=10.0)
-        k, norm = _tube_block(node_block(level)[1], 1000.0, slab.radius_R)
-        factor = _tube_factor(k, slab, norm)
+        kernels = []
+        integrate = lifshitz.integrate_xp
+        monkeypatch.setattr(lifshitz, "integrate_xp", lambda f, *args, **kwargs: (
+            kernels.append(f) or integrate(f, *args, **kwargs)))
+        orientation_forces(slab, 1000.0)
+        block, key = node_block(level)
+        x, p, q = block
+        beta = 2.0 * 1000.0 / (eps_tilde(slab) * slab.thickness_d)
+        film = _film_factor(beta, p / (x * q))
+        for orientation, kernel in enumerate(kernels):
+            weight = _tube_weights(key, 1000.0, slab.radius_R, slab.eps_b)[orientation]
+            assert np.array_equal(kernel(*block), weight * film)
+        k = momentum_from_xp(*block, 1000.0)
+        factor = _film_factor(1.0 / (eps_tilde(slab) * slab.thickness_d), 1.0 / k)
+        factor = factor / _tube_normalisation(k * slab.radius_R)
         assert np.all(k > 0.0)
         assert np.array_equal(plasma_freq_nanotube(k, slab), OMEGA_P / factor)
