@@ -216,8 +216,8 @@ def integrate_p_axis(
                 return IntegralResult(value, math.inf, False, evaluations)
             magnitude = np.abs(grid, out=magnitudes[: grid.size].reshape(grid.shape))
             floor = _ROUNDOFF * float(wx @ magnitude @ wp)
-            tails = wx @ (beyond * magnitude[:, last_p] + below * magnitude[:, 0])
-            tails = float(tails)
+            ends = beyond * magnitude[:, last_p] + below * magnitude[:, 0]
+            tails = float(wx @ ends)
             if with_x:
                 tails += 2.0 * float(magnitude[last_x] @ wp)
             tolerance = max(spec.abs_tol, spec.rel_tol * abs(value))

@@ -9,7 +9,7 @@ and the local Drude permittivity evaluated at omega = i*xi.
 
 Lengths are nm, angular frequencies s^-1.  All functions are pure and
 keep no state; the force kernels cache their node-block factors next to
-themselves (lifshitz._film_ratio, anisotropic._tube_weights).
+themselves (lifshitz._film_ratio and _film_weight, anisotropic._tube_weights).
 """
 
 from __future__ import annotations

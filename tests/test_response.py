@@ -355,6 +355,7 @@ class TestNormalisationCache:
         x, p, q = block
         beta = 2.0 * 1000.0 / (eps_tilde(slab) * slab.thickness_d)
         film = _film_factor(beta, p / (x * q))
+        assert len(kernels) == 2
         for orientation, kernel in enumerate(kernels):
             weight = _tube_weights(key, 1000.0, slab.radius_R, slab.eps_b)[orientation]
             assert np.array_equal(kernel(*block), weight * film)
