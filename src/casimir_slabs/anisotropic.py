@@ -121,7 +121,7 @@ def _tube_scale(array: NanotubeArraySlab) -> float:
 
 # Keyed like lifshitz._film_ratio, plus l, R and eps_b: one entry serves
 # every thickness, so a crossover search computes each block once.
-@lru_cache(maxsize=2 * _MAX_LEVEL + 1)
+@lru_cache(maxsize=_MAX_LEVEL + 1)
 def _tube_weights(key: tuple, l: float, radius: float, eps_b: float) -> tuple:
     """Read-only co-aligned and crossed weights of one node block over the
     tube normalisation sqrt(2 z I0 K0), z = k R: x^4 e^x/(e^x - 1)^2/p^4

@@ -165,10 +165,10 @@ def _bose(x):
     return x ** 4 * np.exp(-x) / np.expm1(-x) ** 2
 
 
-# One integral touches at most 2 * _MAX_LEVEL + 1 node blocks (one at level
-# 0, two at each later level).  Keyed on a block's node bytes alone, every
-# correction integral, in every thread, reads the arrays the miss computed.
-@lru_cache(maxsize=2 * _MAX_LEVEL + 1)
+# One integral touches at most _MAX_LEVEL + 1 node blocks, one per level.
+# Keyed on a block's node bytes alone, every correction integral, in every
+# thread, reads the arrays the miss computed.
+@lru_cache(maxsize=_MAX_LEVEL + 1)
 def _film_ratio(key: tuple) -> np.ndarray:
     """Read-only r = p/(x q) of a node block: 1/(eps~ k d) = 2 l/(eps~ d) r."""
     x, p, q = _node_block(key)
@@ -177,7 +177,7 @@ def _film_ratio(key: tuple) -> np.ndarray:
     return r
 
 
-@lru_cache(maxsize=2 * _MAX_LEVEL + 1)
+@lru_cache(maxsize=_MAX_LEVEL + 1)
 def _film_weight(key: tuple) -> np.ndarray:
     """Read-only film weight x^4 e^x/(e^x - 1)^2 (p^2+1)/p^4 of a node block."""
     x, p, _ = _node_block(key)
@@ -203,7 +203,9 @@ def _nonlocal_force(slab, l, spec, *, main, weight, order, scale):
 
     def kernel(x, p, q):
         key = x.tobytes(), p.tobytes(), q.tobytes()
-        return weight(key) * _film_factor(beta, _film_ratio(key))
+        factor = _film_factor(beta, _film_ratio(key))
+        factor *= weight(key)  # in place: a product array made a point ~40% slower
+        return factor
 
     res = integrate_xp(kernel, spec, p_singularity_order=order)
     coef = _over(15.0 * C_NM_PER_S * scale, PI4 * slab.omega_p3d * l)

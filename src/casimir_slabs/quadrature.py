@@ -8,17 +8,16 @@ s < 1 integrable.  Kernels get whole arrays, f(x[:, None], p[None, :],
 q[None, :]), with q = sqrt(p^2-1) computed exactly (sinh u, or
 t sqrt(2+t^2)), so they never form p*p - 1 near p = 1.
 
-Each level halves the step on both axes and evaluates only the new
-nodes.  The error estimate is |I_h - I_h/2| (Bailey, Jeyabalan & Li,
-Exp. Math. 14 (2005) 317) plus bounds on the x tail beyond x_max, the p
-tail beyond the window and below its first node, and a roundoff floor
-of a few eps sum |w f|.  A tolerance below that floor is reported as not
-converged, never clamped.  Each call allocates one buffer sized for its
-deepest level and fills its leading block level by level, with no copy
-between levels.  The nodes and weights of every level are built once per
-(x_max, p substitution) and kept read-only: kernels receive views of
-them, so every entry point may be used from several threads, and a
-kernel that writes into its arguments raises ValueError.
+Each level halves the step on both axes, and the kernel is called once
+per level on that level's whole grid, the earlier nodes included.  The
+error estimate is |I_h - I_h/2| (Bailey, Jeyabalan & Li, Exp. Math. 14
+(2005) 317) plus bounds on the x tail beyond x_max, the p tail beyond
+the window and below its first node, and a roundoff floor of a few
+eps sum |w f|.  A tolerance below that floor is reported as not
+converged, never clamped.  The nodes and weights of every level are
+built once per (x_max, p substitution) and kept read-only: kernels
+receive views of them, so every entry point may be used from several
+threads, and a kernel that writes into its arguments raises ValueError.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ class QuadratureSpec:
 @dataclass(frozen=True)
 class IntegralResult:
     """One quadrature outcome: value, certified error, convergence flag
-    and the number of integrand nodes evaluated."""
+    and the number of kernel evaluations, every level's whole grid."""
 
     value: float
     error_estimate: float
@@ -99,7 +98,6 @@ class IntegralResult:
     evaluations: int
 
 
-@lru_cache(maxsize=None)
 def _tanh_sinh(end: float, step: float, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes y on (0, end] new at ``level`` and dy/dtau, in increasing tau.
 
@@ -116,7 +114,6 @@ def _tanh_sinh(end: float, step: float, level: int) -> tuple[np.ndarray, np.ndar
     return y, dy
 
 
-@lru_cache(maxsize=None)
 def _p_nodes(transform: str, level: int) -> tuple[np.ndarray, ...]:
     """(p, q, dp/dtau, y, dp/dy) of the p nodes new at ``level``, y being
     u (p = cosh u) or t (p = 1 + t^2)."""
@@ -193,28 +190,18 @@ def integrate_p_axis(
     levels = _levels(spec.x_max, spec.p_transform, with_x)
     # Level-0 nodes come first, so the window's last nodes keep their index.
     last_x, last_p = levels[0][0].size - 1, levels[0][2].size - 1
-    # One buffer sized for the deepest level: level L fills the leading
-    # [:nx, :np] block of `values`, where the earlier levels' entries
-    # already sit, and writes its magnitudes contiguously into the rest.
-    # Separate per-level arrays let glibc trim and regrow the heap on
-    # every call, and a strided magnitude block is slow to sum.
-    shape = levels[-1][0].size, levels[-1][2].size
-    values, magnitudes = np.empty((2, shape[0] * shape[1]))
-    values = values.reshape(shape)
-    nx = npp = 0
     previous, evaluations = None, 0
     with np.errstate(all="ignore"):  # a non-finite sum is reported, not warned
         for x, wx, p, q, wp in levels:
-            grid = values[: x.size, : p.size]
-            grid[:, npp:] = kernel(x[:, None], p[None, npp:], q[None, npp:])
-            if x.size > nx and npp:  # level 0 has no earlier p nodes
-                grid[nx:, :npp] = kernel(x[nx:, None], p[None, :npp], q[None, :npp])
-            evaluations += grid.size - nx * npp
-            nx, npp = x.size, p.size
+            grid = kernel(x[:, None], p[None, :], q[None, :])
+            # A row constant in x is copied to full shape: a stride-0 grid
+            # sums to other bits.
+            grid = np.ascontiguousarray(np.broadcast_to(grid, (x.size, p.size)))
+            evaluations += grid.size
             value = float(wx @ grid @ wp)
             if not math.isfinite(value):
                 return IntegralResult(value, math.inf, False, evaluations)
-            magnitude = np.abs(grid, out=magnitudes[: grid.size].reshape(grid.shape))
+            magnitude = np.abs(grid)
             floor = _ROUNDOFF * float(wx @ magnitude @ wp)
             ends = beyond * magnitude[:, last_p] + below * magnitude[:, 0]
             tails = float(wx @ ends)

@@ -345,8 +345,9 @@ class TestCrossover:
     def test_cache_holds_every_block_of_one_integral(self, bessel_calls, monkeypatch,
                                                     background_calls):
         # At this tolerance every level runs, so the co-aligned integral
-        # touches all 2 * _MAX_LEVEL + 1 node blocks; both caches must hold
-        # them all for the crossed one to make no Bessel or phi call at all.
+        # touches all _MAX_LEVEL + 1 node blocks, one per level; both caches
+        # must hold them all for the crossed one to make no Bessel or phi
+        # call at all.
         from casimir_slabs import anisotropic
         from casimir_slabs.quadrature import _MAX_LEVEL
 
@@ -362,7 +363,7 @@ class TestCrossover:
         main_term_perp(10.0, every_level)
         background_calls.clear()
         orientation_forces(array(20.0), 1000.0, every_level)
-        blocks = 2 * _MAX_LEVEL + 1
+        blocks = _MAX_LEVEL + 1
         assert before_perp == [(len(bessel_calls), background_calls["phi"])]
         assert before_perp == [(blocks, blocks)]
 

@@ -18,7 +18,7 @@ from casimir_slabs import (
 from casimir_slabs import QuadratureSpec, eps_tilde, lifshitz, momentum_from_xp
 from casimir_slabs.constants import C_NM_PER_S, HBAR_C_J_M
 from casimir_slabs.lifshitz import _film_ratio, _film_weight, _thin_limit_parts
-from casimir_slabs.quadrature import _levels
+from casimir_slabs.quadrature import _MAX_LEVEL, _levels
 
 OMEGA_P = 2.0e16
 
@@ -205,7 +205,7 @@ def empty_film_caches():
 
 class TestFilmCache:
     # rel_tol below the roundoff floor: every level runs, so one integral
-    # touches all 2 * _MAX_LEVEL + 1 node blocks
+    # touches all _MAX_LEVEL + 1 node blocks, one per level
     EVERY_LEVEL = QuadratureSpec(rel_tol=1e-15, abs_tol=0.0)
 
     def test_cold_cache_gives_the_warm_bits(self, spec):
@@ -221,12 +221,13 @@ class TestFilmCache:
         # another (d, l) reads every block the first one computed
         empty_film_caches()
         nonlocal_isotropic_ratio(film(10.0), 1000.0, self.EVERY_LEVEL)
+        blocks = _MAX_LEVEL + 1
         before = _film_ratio.cache_info(), _film_weight.cache_info()
-        assert [info.misses for info in before] == [11, 11]
+        assert [info.misses for info in before] == [blocks, blocks]
         nonlocal_isotropic_ratio(film(200.0), 300.0, self.EVERY_LEVEL)
         after = _film_ratio.cache_info(), _film_weight.cache_info()
-        assert [info.misses for info in after] == [11, 11]
-        assert [info.hits for info in after] == [info.hits + 11 for info in before]
+        assert [info.misses for info in after] == [blocks, blocks]
+        assert [info.hits for info in after] == [info.hits + blocks for info in before]
 
     @pytest.mark.parametrize("d", [1.0, 10.0, 200.0])
     @pytest.mark.parametrize("l", [50.0, 1000.0, 5000.0])

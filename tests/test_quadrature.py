@@ -11,6 +11,7 @@ import pytest
 
 import casimir_slabs
 from casimir_slabs import QuadratureSpec, bose_integral, integrate_p_axis, integrate_xp
+from casimir_slabs.quadrature import _levels
 
 PI4_OVER_15 = math.pi ** 4 / 15.0
 
@@ -209,8 +210,9 @@ class TestDoubleIntegral:
 
     @pytest.mark.parametrize("with_x", [False, True])
     def test_kernel_never_gets_an_empty_block(self, spec, with_x):
-        # Level 0 has no earlier p nodes to pair with its x nodes, so the
-        # engine must not call the kernel on an (n, 0) block there.
+        # One kernel call per level, on that level's whole grid, so no
+        # block is empty and the evaluations are the sum of the grid sizes
+        # (for e^-x/p^2, 144 + 529 + 2025 + 7921 + 31329 = 41948).
         shapes = []
 
         def f(*args):  # (p, q), or (x, p, q) with x: 1/p^2, or e^-x/p^2
@@ -220,6 +222,19 @@ class TestDoubleIntegral:
         res = integrate_p_axis(f, spec=spec, with_x=with_x)
         assert res.converged and len(shapes) > 1
         assert all(0 not in shape for shape in shapes), shapes
+        levels = _levels(spec.x_max, spec.p_transform, with_x)
+        grids = [(x.size, p.size) for x, _, p, _, _ in levels[: len(shapes)]]
+        assert shapes == grids
+        assert res.evaluations == sum(nx * npp for nx, npp in grids)
+        if with_x:
+            assert res.evaluations == 41948
+
+    def test_kernel_result_broadcasts_over_x(self, spec):
+        # A kernel constant in x may return one row, (1, n_p); the engine
+        # spreads it over the x nodes exactly as the full-shape result.
+        row = lambda x, p, q: 1.0 / (p * p)
+        full = lambda x, p, q: np.repeat(row(x, p, q), x.size, axis=0)
+        assert integrate_xp(row, spec) == integrate_xp(full, spec)
 
     def test_result_is_deterministic(self, spec):
         f = lambda x, p, q: np.exp(-x) * (p * p + 1.0) / p ** 4
@@ -228,10 +243,10 @@ class TestDoubleIntegral:
         assert first == second
 
     def test_concurrent_calls_match_the_serial_ones(self, spec):
-        # Each call fills its own grid buffer.  Kernels that differ by a
-        # scale factor make a shared buffer visible (one kernel alone would
-        # write the same value to each entry); a short switch interval
-        # interleaves the threads.
+        # Each call sums the grids its own kernel returns.  Kernels that
+        # differ by a scale factor make any state shared between calls
+        # visible (one kernel alone would give the same value to each
+        # entry); a short switch interval interleaves the threads.
         def kernel(scale):
             def f(x, p, q):
                 bose = x ** 3.5 * np.exp(-x) / np.expm1(-x) ** 2
