@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lifshitz import RATIO_NORM, ForceResult, _bose, _nonlocal_force
-from .quadrature import _MAX_LEVEL, IntegralResult, QuadratureError, QuadratureSpec
+from .quadrature import _VISITED_LEVELS, IntegralResult, QuadratureError, QuadratureSpec
 from .quadrature import integrate_xp
 from .response import NanotubeArraySlab, _node_block, _require_background
 from .response import _tube_normalisation, fresnel_coeffs, momentum_from_xp
@@ -119,9 +119,9 @@ def _tube_scale(array: NanotubeArraySlab) -> float:
     return math.sqrt(array.period_Delta / (2.0 * math.pi * array.radius_R))
 
 
-# Keyed like lifshitz._film_ratio, plus l, R and eps_b: one entry serves
-# every thickness, so a crossover search computes each block once.
-@lru_cache(maxsize=_MAX_LEVEL + 1)
+# Keyed like lifshitz._film_ratio plus l, R and eps_b, and sized like it: one
+# entry serves every thickness, so a crossover search computes each block once.
+@lru_cache(maxsize=len(_VISITED_LEVELS))
 def _tube_weights(key: tuple, l: float, radius: float, eps_b: float) -> tuple:
     """Read-only co-aligned and crossed weights of one node block over the
     tube normalisation sqrt(2 z I0 K0), z = k R: x^4 e^x/(e^x - 1)^2/p^4

@@ -21,7 +21,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .constants import C_NM_PER_S, HBAR_C_J_M, PI4
-from .quadrature import _MAX_LEVEL, QuadratureError, QuadratureSpec
+from .quadrature import _VISITED_LEVELS, QuadratureError, QuadratureSpec
 from .quadrature import integrate_p_axis, integrate_xp
 from .response import IsotropicSlab, _film_factor, _node_block, eps_tilde
 from .response import _plain, _require
@@ -165,10 +165,9 @@ def _bose(x):
     return x ** 4 * np.exp(-x) / np.expm1(-x) ** 2
 
 
-# One integral touches at most _MAX_LEVEL + 1 node blocks, one per level.
-# Keyed on a block's node bytes alone, every correction integral, in every
-# thread, reads the arrays the miss computed.
-@lru_cache(maxsize=_MAX_LEVEL + 1)
+# One entry per level an integral runs, keyed on a block's node bytes alone:
+# every correction integral, in every thread, reads the arrays the miss computed.
+@lru_cache(maxsize=len(_VISITED_LEVELS))
 def _film_ratio(key: tuple) -> np.ndarray:
     """Read-only r = p/(x q) of a node block: 1/(eps~ k d) = 2 l/(eps~ d) r."""
     x, p, q = _node_block(key)
@@ -177,7 +176,7 @@ def _film_ratio(key: tuple) -> np.ndarray:
     return r
 
 
-@lru_cache(maxsize=_MAX_LEVEL + 1)
+@lru_cache(maxsize=len(_VISITED_LEVELS))
 def _film_weight(key: tuple) -> np.ndarray:
     """Read-only film weight x^4 e^x/(e^x - 1)^2 (p^2+1)/p^4 of a node block."""
     x, p, _ = _node_block(key)

@@ -9,13 +9,14 @@ q[None, :]), with q = sqrt(p^2-1) computed exactly (sinh u, or
 t sqrt(2+t^2)), so they never form p*p - 1 near p = 1.
 
 Each level halves the step on both axes, and the kernel is called once
-per level on that level's whole grid, the earlier nodes included.  The
-error estimate is |I_h - I_h/2| (Bailey, Jeyabalan & Li, Exp. Math. 14
-(2005) 317) plus bounds on the x tail beyond x_max, the p tail beyond
-the window and below its first node, and a roundoff floor of a few
-eps sum |w f|.  A tolerance below that floor is reported as not
-converged, never clamped.  The nodes and weights of every level are
-built once per (x_max, p substitution) and kept read-only: kernels
+per level on that level's whole grid, the earlier nodes included, from
+level 3 on: at the default spec no force integral of the presets would
+stop sooner.  The error estimate is |I_h - I_h/2| (Bailey, Jeyabalan &
+Li, Exp. Math. 14 (2005) 317) plus bounds on the x tail beyond x_max,
+the p tail beyond the window and below its first node, and a roundoff
+floor of a few eps sum |w f|.  A tolerance below that floor is reported
+as not converged, never clamped.  The nodes and weights of every level
+are built once per (x_max, p substitution) and kept read-only: kernels
 receive views of them, so every entry point may be used from several
 threads, and a kernel that writes into its arguments raises ValueError.
 """
@@ -48,7 +49,7 @@ _X_STEP = 0.5  # level-0 step on the x axis
 # decays like e^-u in u = arccosh p, but like t^-3 in t = sqrt(p-1), whose
 # long window needs a finer step for its O(1) region.
 _P_RULES = {"hyperbolic": (40.0, 0.5), "shifted-square": (1.0e5, 0.125)}
-_MAX_LEVEL = 5  # the last level's x step is 1/64
+_VISITED_LEVELS = range(3, 6)  # levels an integral runs; the last x step is 1/64
 _ROUNDOFF = 8.0 * sys.float_info.epsilon
 _TIGHTEN = 10.0  # tightened() divides both tolerances by this
 
@@ -61,8 +62,8 @@ class QuadratureError(RuntimeError):
 class QuadratureSpec:
     """Tolerances, x truncation and p substitution of the engine.
 
-    ``x_max`` is derived, never set: max(40, 10 - ln abs_tol), so the
-    exponential tail stays below the requested absolute tolerance.
+    ``x_max`` is derived, never set: max(40, 10 - ln abs_tol), so the x
+    tail stays below abs_tol.  No tolerance stops an integral before level 4.
     """
 
     rel_tol: float = 1.0e-8
@@ -90,7 +91,7 @@ class QuadratureSpec:
 @dataclass(frozen=True)
 class IntegralResult:
     """One quadrature outcome: value, certified error, convergence flag
-    and the number of kernel evaluations, every level's whole grid."""
+    and the number of kernel evaluations, the whole grid of each level run."""
 
     value: float
     error_estimate: float
@@ -150,7 +151,7 @@ def _levels(x_max: float, transform: str, with_x: bool) -> tuple:
     p_step = _P_RULES[transform][1]
     x = dx = p = q = dp = np.empty(0)
     levels = []
-    for level in range(_MAX_LEVEL + 1):
+    for level in range(_VISITED_LEVELS.stop):
         x_new, dx_new = (
             _tanh_sinh(x_max, _X_STEP, level) if with_x else _UNIT_X[level > 0]
         )
@@ -192,7 +193,7 @@ def integrate_p_axis(
     last_x, last_p = levels[0][0].size - 1, levels[0][2].size - 1
     previous, evaluations = None, 0
     with np.errstate(all="ignore"):  # a non-finite sum is reported, not warned
-        for x, wx, p, q, wp in levels:
+        for x, wx, p, q, wp in levels[_VISITED_LEVELS.start:]:
             grid = kernel(x[:, None], p[None, :], q[None, :])
             # A row constant in x is copied to full shape: a stride-0 grid
             # sums to other bits.
@@ -201,14 +202,14 @@ def integrate_p_axis(
             value = float(wx @ grid @ wp)
             if not math.isfinite(value):
                 return IntegralResult(value, math.inf, False, evaluations)
-            magnitude = np.abs(grid)
-            floor = _ROUNDOFF * float(wx @ magnitude @ wp)
-            ends = beyond * magnitude[:, last_p] + below * magnitude[:, 0]
-            tails = float(wx @ ends)
-            if with_x:
-                tails += 2.0 * float(magnitude[last_x] @ wp)
-            tolerance = max(spec.abs_tol, spec.rel_tol * abs(value))
-            if previous is not None:
+            if previous is not None:  # the first level's bounds would go unused
+                magnitude = np.abs(grid)
+                floor = _ROUNDOFF * float(wx @ magnitude @ wp)
+                ends = beyond * magnitude[:, last_p] + below * magnitude[:, 0]
+                tails = float(wx @ ends)
+                if with_x:
+                    tails += 2.0 * float(magnitude[last_x] @ wp)
+                tolerance = max(spec.abs_tol, spec.rel_tol * abs(value))
                 err = abs(value - previous) + tails + floor
                 # Once the floor is all that is left, no finer level can help.
                 if err <= max(tolerance, 2.0 * floor):

@@ -345,11 +345,10 @@ class TestCrossover:
     def test_cache_holds_every_block_of_one_integral(self, bessel_calls, monkeypatch,
                                                     background_calls):
         # At this tolerance every level runs, so the co-aligned integral
-        # touches all _MAX_LEVEL + 1 node blocks, one per level; both caches
-        # must hold them all for the crossed one to make no Bessel or phi
-        # call at all.
+        # touches one node block per level it runs, levels 3 to 5; both
+        # caches must hold them all for the crossed one to make no Bessel
+        # or phi call at all.
         from casimir_slabs import anisotropic
-        from casimir_slabs.quadrature import _MAX_LEVEL
 
         perp, before_perp = anisotropic.f_perp_ratio, []
 
@@ -363,7 +362,7 @@ class TestCrossover:
         main_term_perp(10.0, every_level)
         background_calls.clear()
         orientation_forces(array(20.0), 1000.0, every_level)
-        blocks = _MAX_LEVEL + 1
+        blocks = 3
         assert before_perp == [(len(bessel_calls), background_calls["phi"])]
         assert before_perp == [(blocks, blocks)]
 

@@ -18,7 +18,7 @@ from casimir_slabs import (
 from casimir_slabs import QuadratureSpec, eps_tilde, lifshitz, momentum_from_xp
 from casimir_slabs.constants import C_NM_PER_S, HBAR_C_J_M
 from casimir_slabs.lifshitz import _film_ratio, _film_weight, _thin_limit_parts
-from casimir_slabs.quadrature import _MAX_LEVEL, _levels
+from casimir_slabs.quadrature import _levels
 
 OMEGA_P = 2.0e16
 
@@ -197,6 +197,23 @@ class TestNonlocalIsotropic:
         res = nonlocal_isotropic_ratio(film(10.0), 120.0, fast_spec)
         assert res.validity == "correction_dominant"
 
+    def test_loose_tolerance_gets_the_level_four_answer(self, spec, monkeypatch):
+        # The first kernel call sees level 3's whole grid and the first
+        # comparison is against level 4, so a tolerance that a coarser level
+        # would meet gives the default spec's result bit for bit.
+        shapes, integrate = [], lifshitz.integrate_xp
+
+        def recorded(f, *args, **kwargs):
+            def kernel(x, p, q):
+                shapes.append((x.size, p.size))
+                return f(x, p, q)
+            return integrate(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(lifshitz, "integrate_xp", recorded)
+        loose = nonlocal_isotropic_ratio(film(10.0), 1000.0, QuadratureSpec(rel_tol=1e-2))
+        assert shapes == [(89, 89), (177, 177)]
+        assert loose == nonlocal_isotropic_ratio(film(10.0), 1000.0, spec)
+
 
 def empty_film_caches():
     _film_ratio.cache_clear()
@@ -205,7 +222,7 @@ def empty_film_caches():
 
 class TestFilmCache:
     # rel_tol below the roundoff floor: every level runs, so one integral
-    # touches all _MAX_LEVEL + 1 node blocks, one per level
+    # touches one node block per level it runs, levels 3 to 5
     EVERY_LEVEL = QuadratureSpec(rel_tol=1e-15, abs_tol=0.0)
 
     def test_cold_cache_gives_the_warm_bits(self, spec):
@@ -221,7 +238,7 @@ class TestFilmCache:
         # another (d, l) reads every block the first one computed
         empty_film_caches()
         nonlocal_isotropic_ratio(film(10.0), 1000.0, self.EVERY_LEVEL)
-        blocks = _MAX_LEVEL + 1
+        blocks = 3
         before = _film_ratio.cache_info(), _film_weight.cache_info()
         assert [info.misses for info in before] == [blocks, blocks]
         nonlocal_isotropic_ratio(film(200.0), 300.0, self.EVERY_LEVEL)

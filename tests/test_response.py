@@ -312,7 +312,7 @@ class TestNormalisationCache:
         # every caller, in every thread, receives the one cached pair of
         # weights, each over the tube normalisation, so none may write
         # into them
-        block, key = node_block(1)
+        block, key = node_block(3)
         weights = _tube_weights(key, 1000.0, 2.0, 10.0)
         in_thread = []
         thread = threading.Thread(
@@ -336,7 +336,7 @@ class TestNormalisationCache:
             with pytest.raises(ValueError, match="read-only"):
                 value[0, 0] = 1.0
 
-    @pytest.mark.parametrize("level", [0, 3])
+    @pytest.mark.parametrize("level", [3, 4])
     def test_kernel_factor_is_the_public_plasma_frequency(self, level, monkeypatch):
         # one description of the nanotube response: on a node block, the
         # force kernel is the cached weight over _tube_normalisation times
