@@ -96,7 +96,10 @@ def main_term_parallel(eps_b: float, spec: QuadratureSpec | None = None) -> floa
     exactly 1/2; the dielectric channel is damped by phi^2.  A function
     of eps_b alone, tending to 1 as eps_b -> inf.
     """
-    return 0.5 + RATIO_NORM * _main_parallel_integral(eps_b, spec).value
+    integral = _main_parallel_integral(eps_b, spec)
+    if not integral.converged:
+        raise QuadratureError(f"parallel main term did not converge at eps_b = {eps_b}")
+    return 0.5 + RATIO_NORM * integral.value
 
 
 def main_term_perp(eps_b: float, spec: QuadratureSpec | None = None) -> float:
@@ -105,7 +108,10 @@ def main_term_perp(eps_b: float, spec: QuadratureSpec | None = None) -> float:
     Metal-dielectric exchange in both channels, damped by phi and psi;
     also tends to 1 as eps_b -> inf.
     """
-    return RATIO_NORM * _main_perp_integral(eps_b, spec).value
+    integral = _main_perp_integral(eps_b, spec)
+    if not integral.converged:
+        raise QuadratureError(f"perp main term did not converge at eps_b = {eps_b}")
+    return RATIO_NORM * integral.value
 
 
 def _main(offset: float, integral: IntegralResult):

@@ -8,17 +8,17 @@ s < 1 integrable.  Kernels get whole arrays, f(x[:, None], p[None, :],
 q[None, :]), with q = sqrt(p^2-1) computed exactly (sinh u, or
 t sqrt(2+t^2)), so they never form p*p - 1 near p = 1.
 
-Each level halves the step on both axes, and the kernel is called once
-per level on that level's whole grid, the earlier nodes included, from
-level 3 on: at the default spec no force integral of the presets would
-stop sooner.  The error estimate is |I_h - I_h/2| (Bailey, Jeyabalan &
-Li, Exp. Math. 14 (2005) 317) plus bounds on the x tail beyond x_max,
-the p tail beyond the window and below its first node, and a roundoff
-floor of a few eps sum |w f|.  A tolerance below that floor is reported
-as not converged, never clamped.  The nodes and weights of every level
-are built once per (x_max, p substitution) and kept read-only: kernels
-receive views of them, so every entry point may be used from several
-threads, and a kernel that writes into its arguments raises ValueError.
+Only levels 3 to 5 are built, each at its own step, half the one before
+on both axes; at the default spec no force integral of the presets would
+stop sooner.  The kernel is called once per level on its whole grid,
+nodes in increasing tau.  The error estimate is |I_h - I_h/2| (Bailey,
+Jeyabalan & Li, Exp. Math. 14 (2005) 317) plus bounds on the x tail
+beyond x_max, the p tail beyond the window and below its first node, and
+a roundoff floor of a few eps sum |w f|.  A tolerance below that floor
+is reported as not converged, never clamped.  Each level's nodes and
+weights are built once per (x_max, p substitution) and kept read-only:
+kernels get views of them, so the engine is safe in threads, and a
+kernel writing into its arguments raises ValueError.
 """
 
 from __future__ import annotations
@@ -100,15 +100,14 @@ class IntegralResult:
 
 
 def _tanh_sinh(end: float, step: float, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes y on (0, end] new at ``level`` and dy/dtau, in increasing tau.
+    """Nodes y on (0, end] and dy/dtau at tau = k step/2^level, increasing
+    from -_TAU_LO to _TAU_HI: every level holds the previous level's nodes.
 
     y = end / (1 + e^-2s) with s = (pi/2) sinh(tau), so y and end - y
-    are both accurate near their ends.  Level 0 has step ``step``; each
-    later level adds the odd multiples of half the previous step.
+    are both accurate near their ends.
     """
     h = step / 2 ** level
-    k = np.arange(-round(_TAU_LO / h), round(_TAU_HI / h) + 1)
-    tau = k[k % 2 == 1] * h if level else k * h
+    tau = np.arange(-round(_TAU_LO / h), round(_TAU_HI / h) + 1) * h
     s = 0.5 * math.pi * np.sinh(tau)
     y = end / (1.0 + np.exp(-2.0 * s))
     dy = 0.25 * math.pi * end * np.cosh(tau) / np.cosh(s) ** 2
@@ -116,8 +115,8 @@ def _tanh_sinh(end: float, step: float, level: int) -> tuple[np.ndarray, np.ndar
 
 
 def _p_nodes(transform: str, level: int) -> tuple[np.ndarray, ...]:
-    """(p, q, dp/dtau, y, dp/dy) of the p nodes new at ``level``, y being
-    u (p = cosh u) or t (p = 1 + t^2)."""
+    """(p, q, dp/dtau, y, dp/dy) of the p nodes of ``level`` in increasing
+    tau, y being u (p = cosh u) or t (p = 1 + t^2)."""
     end, step = _P_RULES[transform]
     y, dy = _tanh_sinh(end, step, level)
     if transform == "hyperbolic":
@@ -140,26 +139,18 @@ def _p_end_weights(transform: str, order: float) -> tuple[float, float]:
     return beyond * jac[-1], y[0] * jac[0] / (2.0 - 2.0 * order)
 
 
-# integrate_p_axis alone: one x node of unit weight at level 0, then none
-_UNIT_X = ((np.zeros(1), np.ones(1)), (np.empty(0), np.empty(0)))
-
-
 @lru_cache(maxsize=None)
 def _levels(x_max: float, transform: str, with_x: bool) -> tuple:
-    """Read-only (x, wx, p, q, wp) of each level: the nodes of that level
-    and all earlier ones, earlier levels first, with that level's weights."""
+    """Read-only (x, wx, p, q, wp) of each visited level, its nodes in
+    increasing tau with their weights; without x, one x node of unit weight."""
     p_step = _P_RULES[transform][1]
-    x = dx = p = q = dp = np.empty(0)
     levels = []
-    for level in range(_VISITED_LEVELS.stop):
-        x_new, dx_new = (
-            _tanh_sinh(x_max, _X_STEP, level) if with_x else _UNIT_X[level > 0]
-        )
-        p_new, q_new, dp_new = _p_nodes(transform, level)[:3]
-        x, dx = np.concatenate((x, x_new)), np.concatenate((dx, dx_new))
-        p, q = np.concatenate((p, p_new)), np.concatenate((q, q_new))
-        dp = np.concatenate((dp, dp_new))
-        wx = dx * (_X_STEP / 2 ** level if with_x else 1.0)
+    for level in _VISITED_LEVELS:
+        x, wx = np.zeros(1), np.ones(1)
+        if with_x:
+            x, dx = _tanh_sinh(x_max, _X_STEP, level)
+            wx = dx * (_X_STEP / 2 ** level)
+        p, q, dp = _p_nodes(transform, level)[:3]
         wp = dp * (p_step / 2 ** level)
         for nodes in (x, wx, p, q, wp):
             nodes.flags.writeable = False
@@ -188,12 +179,9 @@ def integrate_p_axis(
     spec = spec or QuadratureSpec()
     kernel = f if with_x else lambda x, p, q: f(p, q)
     beyond, below = _p_end_weights(spec.p_transform, singularity_order)
-    levels = _levels(spec.x_max, spec.p_transform, with_x)
-    # Level-0 nodes come first, so the window's last nodes keep their index.
-    last_x, last_p = levels[0][0].size - 1, levels[0][2].size - 1
     previous, evaluations = None, 0
     with np.errstate(all="ignore"):  # a non-finite sum is reported, not warned
-        for x, wx, p, q, wp in levels[_VISITED_LEVELS.start:]:
+        for x, wx, p, q, wp in _levels(spec.x_max, spec.p_transform, with_x):
             grid = kernel(x[:, None], p[None, :], q[None, :])
             # A row constant in x is copied to full shape: a stride-0 grid
             # sums to other bits.
@@ -205,10 +193,10 @@ def integrate_p_axis(
             if previous is not None:  # the first level's bounds would go unused
                 magnitude = np.abs(grid)
                 floor = _ROUNDOFF * float(wx @ magnitude @ wp)
-                ends = beyond * magnitude[:, last_p] + below * magnitude[:, 0]
+                ends = beyond * magnitude[:, -1] + below * magnitude[:, 0]
                 tails = float(wx @ ends)
                 if with_x:
-                    tails += 2.0 * float(magnitude[last_x] @ wp)
+                    tails += 2.0 * float(magnitude[-1] @ wp)
                 tolerance = max(spec.abs_tol, spec.rel_tol * abs(value))
                 err = abs(value - previous) + tails + floor
                 # Once the floor is all that is left, no finer level can help.

@@ -2,6 +2,7 @@ import pytest
 
 from casimir_slabs import IsotropicSlab, NanotubeArraySlab, QuadratureSpec
 from casimir_slabs import anisotropic, lifshitz, response
+from casimir_slabs.quadrature import _VISITED_LEVELS
 
 OMEGA_P = 2.0e16  # free-electron-gas bulk plasma frequency, 1/s
 
@@ -30,6 +31,22 @@ def tube_array():
     )
 
 
+def empty_node_block_caches():
+    """Empty every lru_cache of lifshitz and anisotropic sized to the levels
+    an integral visits, the node-block caches, found by enumeration so that
+    a cache added later is emptied too."""
+    caches = {
+        value
+        for module in (lifshitz, anisotropic)
+        for value in vars(module).values()
+        if hasattr(value, "cache_parameters")
+        and value.cache_parameters()["maxsize"] == len(_VISITED_LEVELS)
+    }
+    assert caches, "no node-block cache found"
+    for cache in caches:
+        cache.cache_clear()
+
+
 class BesselCalls(list):
     """The (shape, bytes) of the z of each Bessel call made through
     response since the last cold()."""
@@ -37,9 +54,7 @@ class BesselCalls(list):
     def cold(self):
         """Forget the calls counted so far and empty the node-block caches."""
         self.clear()
-        lifshitz._film_ratio.cache_clear()
-        lifshitz._film_weight.cache_clear()
-        anisotropic._tube_weights.cache_clear()
+        empty_node_block_caches()
 
 
 @pytest.fixture

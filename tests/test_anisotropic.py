@@ -105,6 +105,14 @@ class TestMainTerms:
         anisotropic._main_parallel_integral.cache_clear()
         assert f_parallel_ratio(slab, 2000.0, fast_spec) == cached
 
+    @pytest.mark.parametrize("main_term", [main_term_parallel, main_term_perp])
+    def test_unconverged_main_term_raises(self, main_term):
+        # below the roundoff floor neither integral converges; a bare main
+        # term has no validity flag to carry that, so it must not return
+        broken = QuadratureSpec(rel_tol=1e-16, abs_tol=0.0)
+        with pytest.raises(QuadratureError, match="main term did not converge"):
+            main_term(10.0, broken)
+
     def test_metal_dielectric_identity(self, fast_spec):
         # the crossed main term must equal the general force between a
         # perfect conductor and a constant dielectric, an entirely
@@ -358,8 +366,10 @@ class TestCrossover:
 
         monkeypatch.setattr(anisotropic, "f_perp_ratio", counted)
         every_level = QuadratureSpec(rel_tol=1e-15, abs_tol=0.0)
-        main_term_parallel(10.0, every_level)  # the main terms' own phi calls
-        main_term_perp(10.0, every_level)
+        # the main terms' own phi calls; at this spec they do not converge,
+        # so their integrals are cached directly
+        anisotropic._main_parallel_integral(10.0, every_level)
+        anisotropic._main_perp_integral(10.0, every_level)
         background_calls.clear()
         orientation_forces(array(20.0), 1000.0, every_level)
         blocks = 3

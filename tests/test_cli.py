@@ -125,6 +125,13 @@ class TestPointCommands:
         assert code == 3
         assert result_records(out)[0]["validity"] == "quadrature_failed"
 
+    def test_unconverged_main_terms_exit_3(self, capsys):
+        code, out, err = run(
+            capsys, "main-terms", "--eps-b", "10", "--rel-tol", "1e-16", "--abs-tol", "0"
+        )
+        assert code == 3
+        assert out == "" and "main term did not converge" in err
+
     def test_infinite_correction_is_usage_error(self, capsys):
         code, out, err = run(
             capsys, "iso-thin", "--d-nm", "1e-10", "--l-nm", "1", "--omega-p", "1e-300"
@@ -937,6 +944,21 @@ class TestPresets:
         assert float(first[2]) > 0.8
         assert float(first[3]) > 0.8
         assert_golden(*with_manifest(out))
+
+    @pytest.mark.parametrize("command", [
+        ("preset", "fig2", "--points", "2"),
+        ("sweep", "--quantity", "main_terms", "--axis", "eps_b:5:50:2"),
+    ])
+    def test_unconverged_main_terms_exit_3_and_write_nothing(
+        self, capsys, tmp_path, command
+    ):
+        out = tmp_path / "main.csv"
+        code, _, err = run(
+            capsys, *command, "--out", str(out), "--rel-tol", "1e-16", "--abs-tol", "0"
+        )
+        assert code == 3
+        assert "main term did not converge" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_fig3_structure(self, capsys, tmp_path):
         out = tmp_path / "fig3.csv"

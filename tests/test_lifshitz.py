@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import empty_node_block_caches
 from casimir_slabs import (
     IsotropicSlab,
     bose_integral,
@@ -215,18 +216,13 @@ class TestNonlocalIsotropic:
         assert loose == nonlocal_isotropic_ratio(film(10.0), 1000.0, spec)
 
 
-def empty_film_caches():
-    _film_ratio.cache_clear()
-    _film_weight.cache_clear()
-
-
 class TestFilmCache:
     # rel_tol below the roundoff floor: every level runs, so one integral
     # touches one node block per level it runs, levels 3 to 5
     EVERY_LEVEL = QuadratureSpec(rel_tol=1e-15, abs_tol=0.0)
 
     def test_cold_cache_gives_the_warm_bits(self, spec):
-        empty_film_caches()
+        empty_node_block_caches()
         cold = nonlocal_isotropic_ratio(film(10.0), 1000.0, spec)
         assert _film_ratio.cache_info().misses > 0
         nonlocal_isotropic_ratio(film(200.0), 300.0, spec)
@@ -236,7 +232,7 @@ class TestFilmCache:
     def test_second_point_adds_no_miss(self):
         # r and the film weight depend on the node alone: a point at
         # another (d, l) reads every block the first one computed
-        empty_film_caches()
+        empty_node_block_caches()
         nonlocal_isotropic_ratio(film(10.0), 1000.0, self.EVERY_LEVEL)
         blocks = 3
         before = _film_ratio.cache_info(), _film_weight.cache_info()

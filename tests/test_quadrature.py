@@ -11,7 +11,7 @@ import pytest
 
 import casimir_slabs
 from casimir_slabs import QuadratureSpec, bose_integral, integrate_p_axis, integrate_xp
-from casimir_slabs.quadrature import _levels
+from casimir_slabs.quadrature import _VISITED_LEVELS, _levels, _p_nodes, _tanh_sinh
 
 PI4_OVER_15 = math.pi ** 4 / 15.0
 
@@ -191,6 +191,34 @@ class TestToleranceScaling:
             assert fine <= coarse + 1e-15
 
 
+class TestLevels:
+    @pytest.mark.parametrize("transform", ["hyperbolic", "shifted-square"])
+    @pytest.mark.parametrize("with_x", [False, True])
+    def test_nodes_increase_keep_the_window_ends_and_nest(self, transform, with_x):
+        # The tail bounds read the window ends as the first and last column
+        # of each level's grid, and the x tail as its last row: every
+        # visited level must hold its nodes in increasing tau, from
+        # tau = -3.5 to 2.0 as level 0 does, and the previous level's nodes.
+        # p = cosh u rounds to 1 at the first nodes; q = sinh u orders them.
+        levels = _levels(40.0, transform, with_x)
+        p_ends, q_ends = (nodes[[0, -1]] for nodes in _p_nodes(transform, 0)[:2])
+        x_ends = _tanh_sinh(40.0, 0.5, 0)[0][[0, -1]]
+        previous = None
+        for x, wx, p, q, _ in levels:
+            assert np.all(np.diff(q) > 0.0) and np.all(np.diff(p) >= 0.0)
+            assert np.array_equal(p[[0, -1]], p_ends)
+            assert np.array_equal(q[[0, -1]], q_ends)
+            if with_x:
+                assert np.all(np.diff(x) > 0.0)
+                assert np.array_equal(x[[0, -1]], x_ends)
+            else:
+                assert np.array_equal(x, [0.0]) and np.array_equal(wx, [1.0])
+            if previous is not None:
+                assert all(np.isin(*pair).all() for pair in zip(previous, (x, p, q)))
+            previous = x, p, q
+        assert len(levels) == len(_VISITED_LEVELS)
+
+
 class TestDoubleIntegral:
     def test_separable_product(self, spec):
         res = integrate_xp(lambda x, p, q: np.exp(-x) / (p * p), spec)
@@ -223,7 +251,7 @@ class TestDoubleIntegral:
         assert res.converged and len(shapes) > 1
         assert all(0 not in shape for shape in shapes), shapes
         levels = _levels(spec.x_max, spec.p_transform, with_x)
-        grids = [(x.size, p.size) for x, _, p, _, _ in levels[3:5]]
+        grids = [(x.size, p.size) for x, _, p, _, _ in levels[:2]]
         assert shapes == grids
         assert res.evaluations == sum(nx * npp for nx, npp in grids)
         if with_x:

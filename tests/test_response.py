@@ -17,7 +17,7 @@ from casimir_slabs import (
 from casimir_slabs import lifshitz, orientation_forces, phi, psi
 from casimir_slabs.anisotropic import _tube_weights
 from casimir_slabs.lifshitz import _bose
-from casimir_slabs.quadrature import _levels
+from casimir_slabs.quadrature import _VISITED_LEVELS, _levels
 from casimir_slabs.response import _film_factor, _tube_normalisation, fresnel_coeffs
 
 OMEGA_P = 2.0e16
@@ -302,7 +302,7 @@ class TestDrude:
 def node_block(level):
     """The (x, p, q) node grid of ``level`` of the default spec, shaped as
     the engine passes it to a kernel, and its cache key."""
-    x, _, p, q, _ = _levels(40.0, "hyperbolic", True)[level]
+    x, _, p, q, _ = _levels(40.0, "hyperbolic", True)[_VISITED_LEVELS.index(level)]
     block = x[:, None], p[None, :], q[None, :]
     return block, tuple(nodes.tobytes() for nodes in block)
 
