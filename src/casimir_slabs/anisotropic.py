@@ -69,9 +69,7 @@ def psi(p, eps_b: float):
 
 # Main terms depend on (eps_b, spec) only: computed once, then reused.
 @lru_cache(maxsize=None)
-def _main_parallel_integral(
-    eps_b: float, spec: QuadratureSpec | None
-) -> IntegralResult:
+def _main_parallel_integral(eps_b: float, spec: QuadratureSpec) -> IntegralResult:
     def f(x, p, q):
         emx = np.exp(-x)
         return x ** 3 / (p * p) * emx / (phi(p, eps_b) ** 2 - emx)
@@ -80,7 +78,7 @@ def _main_parallel_integral(
 
 
 @lru_cache(maxsize=None)
-def _main_perp_integral(eps_b: float, spec: QuadratureSpec | None) -> IntegralResult:
+def _main_perp_integral(eps_b: float, spec: QuadratureSpec) -> IntegralResult:
     def f(x, p, q):
         emx = np.exp(-x)
         both = 1.0 / (phi(p, eps_b) - emx) - 1.0 / (psi(p, eps_b) + emx)
@@ -89,7 +87,7 @@ def _main_perp_integral(eps_b: float, spec: QuadratureSpec | None) -> IntegralRe
     return integrate_xp(f, spec)
 
 
-def main_term_parallel(eps_b: float, spec: QuadratureSpec | None = None) -> float:
+def main_term_parallel(eps_b: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Infinite-plasma-frequency limit of the co-aligned force ratio.
 
     The metallic channel becomes perfectly reflective and contributes
@@ -102,7 +100,7 @@ def main_term_parallel(eps_b: float, spec: QuadratureSpec | None = None) -> floa
     return 0.5 + RATIO_NORM * integral.value
 
 
-def main_term_perp(eps_b: float, spec: QuadratureSpec | None = None) -> float:
+def main_term_perp(eps_b: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Infinite-plasma-frequency limit of the crossed force ratio.
 
     Metal-dielectric exchange in both channels, damped by phi and psi;
@@ -145,7 +143,7 @@ def _tube_weights(key: tuple, l: float, radius: float, eps_b: float) -> tuple:
 
 
 def f_parallel_ratio(
-    array: NanotubeArraySlab, l: float, spec: QuadratureSpec | None = None
+    array: NanotubeArraySlab, l: float, spec: QuadratureSpec = QuadratureSpec()
 ) -> ForceResult:
     """Force ratio for co-aligned nanotube-array slabs.
 
@@ -160,7 +158,7 @@ def f_parallel_ratio(
 
 
 def f_perp_ratio(
-    array: NanotubeArraySlab, l: float, spec: QuadratureSpec | None = None
+    array: NanotubeArraySlab, l: float, spec: QuadratureSpec = QuadratureSpec()
 ) -> ForceResult:
     """Force ratio for crossed nanotube-array slabs.
 
@@ -190,7 +188,7 @@ class OrientationForces:
 
 
 def orientation_forces(
-    array: NanotubeArraySlab, l: float, spec: QuadratureSpec | None = None
+    array: NanotubeArraySlab, l: float, spec: QuadratureSpec = QuadratureSpec()
 ) -> OrientationForces:
     """Co-aligned and crossed force ratios of one slab pair; the crossed
     orientation reads each node block's r and normalised weight from the
@@ -257,7 +255,7 @@ def crossover_thickness(
     array_template: NanotubeArraySlab,
     l: float,
     d_range: tuple[float, float],
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = QuadratureSpec(),
 ) -> CrossoverResult:
     """Brent search (_brentq) for the thickness at which F_par - F_perp
     changes sign, to a bracket of CROSSOVER_XTOL_NM (1e-3 nm).

@@ -260,19 +260,19 @@ def run_point(quantity: str, params: dict, spec: QuadratureSpec) -> int:
 
 
 def _crossover_with_curve(path: str, n: int, params: dict, spec: QuadratureSpec) -> int:
-    """The search, then both orientation forces over n evenly spaced
-    thicknesses of the bracket in one pass, all inside write_outputs: a
-    path that cannot be written fails first."""
-    step = (params["d_max"] - params["d_min"]) / max(n - 1, 1)
+    """The search, then both orientation forces over the n thicknesses of a
+    d axis on the bracket, its ends exact, in one pass, all inside
+    write_outputs: a path that cannot be written fails first."""
+    d = SweepAxis("d", params["d_min"], params["d_max"], n).grid()
     request = SweepRequest("crossover", {**params, "curve_points": n}, (), path)
     names = ["d_nm", "ratio_parallel", "ratio_perp", "anisotropy"]
     with write_outputs(request, spec, names) as write:
         code = run_point("crossover", params, spec)
-        grid = {**params, "d": np.array([params["d_min"] + i * step for i in range(n)])}
+        grid = {**params, "d": d}
         both = ("aniso_parallel", "aniso_perp")
         pair = evaluate_quantity(both, grid, spec, [_check_grid(q, grid) for q in both])
         par, perp = (values["ratio_to_casimir"] for values in pair)
-        write([grid["d"], par, perp, np.subtract(par, perp)])
+        write([d, par, perp, np.subtract(par, perp)])
     print(f"anisotropy curve written to {path}")
     return code
 

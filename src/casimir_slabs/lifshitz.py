@@ -102,7 +102,7 @@ def lifshitz_pressure_general(
     eps1_fn: Callable[[float], float],
     eps2_fn: Callable[[float], float],
     l: float,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = QuadratureSpec(),
 ) -> ForceResult:
     """Full two-polarization force integral for arbitrary media.
 
@@ -215,7 +215,7 @@ def _nonlocal_force(slab, l, spec, *, main, weight, order, scale):
 
 
 def nonlocal_isotropic_ratio(
-    slab: IsotropicSlab, l: float, spec: QuadratureSpec | None = None
+    slab: IsotropicSlab, l: float, spec: QuadratureSpec = QuadratureSpec()
 ) -> ForceResult:
     """Force between identical isotropic slabs with the thickness-dependent
     momentum dispersion of the in-plane plasma frequency.

@@ -161,7 +161,7 @@ def _levels(x_max: float, transform: str, with_x: bool) -> tuple:
 def integrate_p_axis(
     f: Callable,
     singularity_order: float = 0.0,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = QuadratureSpec(),
     with_x: bool = False,
 ) -> IntegralResult:
     """Integrate f(p, q) over p in [1, inf), q = sqrt(p^2-1), allowing a
@@ -176,7 +176,6 @@ def integrate_p_axis(
     """
     if not 0.0 <= singularity_order < 1.0:
         raise ValueError(f"singularity_order must lie in [0, 1): {singularity_order}")
-    spec = spec or QuadratureSpec()
     kernel = f if with_x else lambda x, p, q: f(p, q)
     beyond, below = _p_end_weights(spec.p_transform, singularity_order)
     previous, evaluations = None, 0
@@ -206,9 +205,8 @@ def integrate_p_axis(
     return IntegralResult(value, err, False, evaluations)
 
 
-def integrate_xp(
-    f: Callable, spec: QuadratureSpec | None = None, p_singularity_order: float = 0.0
-) -> IntegralResult:
+def integrate_xp(f: Callable, spec: QuadratureSpec = QuadratureSpec(),
+                 p_singularity_order: float = 0.0) -> IntegralResult:
     """Tensor-product integral of f(x, p, q) over (0, x_max] x [1, inf),
     by the p-axis rule joined with the x rule; see integrate_p_axis."""
     return integrate_p_axis(f, p_singularity_order, spec, with_x=True)

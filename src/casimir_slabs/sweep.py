@@ -138,7 +138,7 @@ class SweepRequest:
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        _record(self.quantity)
+        _lookup(QUANTITIES, self.quantity, "quantity")
         if len(self.axes) > 2:
             raise UsageError("at most two sweep axes are supported")
         if self.format not in ("csv", "json"):
@@ -322,18 +322,17 @@ QUANTITIES = {
 }
 
 
-def _record(quantity: str) -> Quantity:
-    if quantity not in QUANTITIES:
-        raise UsageError(
-            f"unknown quantity {quantity!r}; choose from {tuple(QUANTITIES)}"
-        )
-    return QUANTITIES[quantity]
+def _lookup(table: dict, name: str, what: str):
+    """``table[name]``, or a UsageError naming the choices."""
+    if name not in table:
+        raise UsageError(f"unknown {what} {name!r}; choose from {tuple(table)}")
+    return table[name]
 
 
 def _check_grid(quantity: str, params: dict):
     """Check a grid's parameters and build its slab for all rows at once,
     with the evaluators' own checks, so no row fails once one is computed."""
-    record = _record(quantity)
+    record = _lookup(QUANTITIES, quantity, "quantity")
     missing = [k for k in record.requires if params.get(k) is None]
     if missing:
         raise UsageError(f"{quantity} requires parameters: {', '.join(missing)}")
@@ -350,7 +349,7 @@ def evaluate_quantity(quantities: Sequence[str], params: dict, spec: QuadratureS
     ``_check_grid``, which the caller has run.  The integrating quantities
     run row by row, those of a row back to back, each on the input its
     ``slab`` builds from that row alone; a closed form runs as arrays."""
-    records = [_record(quantity) for quantity in quantities]
+    records = [_lookup(QUANTITIES, quantity, "quantity") for quantity in quantities]
     values = [None if record.integrates else record.evaluate(params, slab, spec)
               for record, slab in zip(records, slabs)]
     cells = [i for i, record in enumerate(records) if record.integrates]
@@ -484,7 +483,7 @@ def _product(*grids: Sequence) -> list[np.ndarray]:
     return [axis.ravel() for axis in np.meshgrid(*grids, indexing="ij")]
 
 
-def run_sweep(request: SweepRequest, spec: QuadratureSpec | None = None) -> dict:
+def run_sweep(request: SweepRequest, spec: QuadratureSpec = QuadratureSpec()) -> dict:
     """Execute a sweep: validate the whole grid, then compute and write.
 
     A parameter the quantity does not read or that is set twice (by two
@@ -492,7 +491,6 @@ def run_sweep(request: SweepRequest, spec: QuadratureSpec | None = None) -> dict
     are emitted in axis-major order, the first axis slowest, and reruns
     are byte-identical.  Returns a summary dict (rows, output paths).
     """
-    spec = spec or QuadratureSpec()
     record = QUANTITIES[request.quantity]
     swept = [ax.param for ax in request.axes]
     fixed = request.fixed_params
@@ -592,13 +590,11 @@ PRESETS = {
 
 
 def run_preset(
-    name: str, output_path: str | Path, spec: QuadratureSpec | None = None, **sizes
+    name: str, output_path: str | Path, spec: QuadratureSpec = QuadratureSpec(), **sizes
 ) -> dict:
     """Validate, compute and write preset ``name``; a size given as None
     keeps its default."""
-    if name not in PRESETS:
-        raise UsageError(f"unknown preset {name!r}; choose from {tuple(PRESETS)}")
-    preset = PRESETS[name]
+    preset = _lookup(PRESETS, name, "preset")
     if not sizes.keys() <= preset.sizes.keys():
         raise UsageError(f"{name} takes only the sizes {tuple(preset.sizes)}")
     settings = {"preset": name, **preset.sizes, **preset.constants}
@@ -606,5 +602,5 @@ def run_preset(
     settings.update((k, _count(settings[k], k)) for k in sizes if k.endswith("points"))
     request = SweepRequest(preset.cells[0][0], settings, (), output_path)
     leading, params = preset.grid(settings)
-    return _check_and_write(request, spec or QuadratureSpec(), preset.columns,
+    return _check_and_write(request, spec, preset.columns,
                             preset.cells, leading, params)

@@ -105,6 +105,26 @@ class TestMainTerms:
         anisotropic._main_parallel_integral.cache_clear()
         assert f_parallel_ratio(slab, 2000.0, fast_spec) == cached
 
+    @pytest.mark.parametrize(
+        "call, integral",
+        [
+            (lambda *spec: main_term_parallel(10.0, *spec), "_main_parallel_integral"),
+            (lambda *spec: main_term_perp(10.0, *spec), "_main_perp_integral"),
+            (lambda *spec: f_parallel_ratio(array(20.0), 1000.0, *spec),
+             "_main_parallel_integral"),
+            (lambda *spec: f_perp_ratio(array(20.0), 1000.0, *spec),
+             "_main_perp_integral"),
+        ],
+        ids=["main_term_parallel", "main_term_perp", "f_parallel_ratio", "f_perp_ratio"],
+    )
+    def test_omitted_and_default_spec_share_one_entry(self, call, integral):
+        from casimir_slabs import anisotropic
+
+        cache = getattr(anisotropic, integral)
+        cache.cache_clear()
+        assert call() == call(QuadratureSpec())
+        assert cache.cache_info().misses == 1
+
     @pytest.mark.parametrize("main_term", [main_term_parallel, main_term_perp])
     def test_unconverged_main_term_raises(self, main_term):
         # below the roundoff floor neither integral converges; a bare main

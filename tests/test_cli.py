@@ -873,6 +873,21 @@ class TestOnePassPerGrid:
         assert run(capsys, "crossover", *BRACKET, *curve)[0] == 0
         assert calls == [("crossover",), ("aniso_parallel", "aniso_perp")]
 
+    def test_curve_ends_exactly_on_the_bracket(self, capsys, tmp_path, monkeypatch):
+        # d_min + i step misses d_max here: 61.10000000000001 as the last row
+        grids, evaluate = [], cli.evaluate_quantity
+
+        def recorded(*args):
+            grids.append(args[1])
+            return evaluate(*args)
+
+        monkeypatch.setattr(cli, "evaluate_quantity", recorded)
+        bracket = ["--l-nm", "1000", "--d-min-nm", "4", "--d-max-nm", "61.1", *FAST]
+        curve = ["--curve-out", str(tmp_path / "c.csv"), "--curve-points", "7"]
+        assert run(capsys, "crossover", *bracket, *curve)[0] == 0
+        d = grids[-1]["d"]
+        assert (len(d), d[0], d[-1]) == (7, 4.0, 61.1)
+
     def test_fig4_rows_make_the_bessel_calls_of_orientation_forces(
         self, tmp_path, fast_spec, bessel_calls
     ):
@@ -894,27 +909,31 @@ class TestOnePassPerGrid:
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, message",
     [
-        lambda out: sweep.run_preset("fig5", out),
-        lambda out: sweep.run_preset("fig2", out, points=0),
-        lambda out: sweep.run_preset("fig4", out, l_points=0),
-        lambda out: sweep.run_preset("fig4", out, d_points=np.int64(0)),
-        lambda out: sweep.run_preset("fig2", out, points=-3),
-        lambda out: sweep.run_preset("fig2", out, points=2.5),
-        lambda out: sweep.run_sweep(sweep.SweepRequest(
+        (lambda out: sweep.run_preset("fig5", out),
+         "unknown preset 'fig5'; choose from ('fig2', 'fig3', 'fig4')"),
+        (lambda out: sweep.run_preset("fig2", out, points=0), None),
+        (lambda out: sweep.run_preset("fig4", out, l_points=0), None),
+        (lambda out: sweep.run_preset("fig4", out, d_points=np.int64(0)), None),
+        (lambda out: sweep.run_preset("fig2", out, points=-3), None),
+        (lambda out: sweep.run_preset("fig2", out, points=2.5), None),
+        (lambda out: sweep.run_sweep(sweep.SweepRequest(
             "casimir", {}, (sweep.SweepAxis("l", 100.0, 1000.0, 2.5),), str(out))),
-        lambda out: sweep.run_preset("fig4", out, panels=5),
-        lambda out: sweep.run_preset("fig4", out, panels="aa", d_points=1, l_points=1),
+         None),
+        (lambda out: sweep.run_preset("fig4", out, panels=5), None),
+        (lambda out: sweep.run_preset("fig4", out, panels="aa", d_points=1,
+                                      l_points=1), None),
     ],
     ids=["unknown", "zero", "zero-l", "numpy-zero", "negative", "float", "axis-float",
          "panels-int", "panels-repeated"],
 )
-def test_bad_library_grid_sizes_are_usage_errors(tmp_path, call):
+def test_bad_library_grid_sizes_are_usage_errors(tmp_path, call, message):
     # The CLI's own checks never send these; the library rejects them
     # before any file is touched.
-    with pytest.raises(sweep.UsageError):
+    with pytest.raises(sweep.UsageError) as error:
         call(tmp_path / "x.csv")
+    assert message is None or str(error.value) == message
     assert list(tmp_path.iterdir()) == []
 
 

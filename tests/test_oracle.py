@@ -68,8 +68,8 @@ def test_main_term_ordering_flips_between_29_and_30(eps_b, sign):
     assert math.copysign(1.0, gap) == sign
     assert abs(gap) > par_err + perp_err
     engine_err = RATIO_NORM * (
-        _main_parallel_integral(eps_b, None).error_estimate
-        + _main_perp_integral(eps_b, None).error_estimate
+        _main_parallel_integral(eps_b, QuadratureSpec()).error_estimate
+        + _main_perp_integral(eps_b, QuadratureSpec()).error_estimate
     )
     engine_gap = main_term_parallel(eps_b) - main_term_perp(eps_b)
     assert abs(engine_gap - gap) <= engine_err + par_err + perp_err

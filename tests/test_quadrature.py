@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 
 import casimir_slabs
 from casimir_slabs import QuadratureSpec, bose_integral, integrate_p_axis, integrate_xp
+from casimir_slabs import sweep
 from casimir_slabs.quadrature import _VISITED_LEVELS, _levels, _p_nodes, _tanh_sinh
 
 PI4_OVER_15 = math.pi ** 4 / 15.0
@@ -378,3 +380,17 @@ def test_package_exports_the_modules_public_names():
     assert sorted(casimir_slabs.__all__) == PUBLIC_NAMES
     for name in casimir_slabs.__all__:
         assert getattr(casimir_slabs, name) is not None
+
+
+def test_every_spec_defaults_to_the_default_spec():
+    # One default value, not None: omitting spec and passing QuadratureSpec()
+    # are the same call, down to the keys of the main-term caches.
+    functions = [getattr(casimir_slabs, name) for name in casimir_slabs.__all__]
+    parameters = {
+        function.__name__: inspect.signature(function).parameters
+        for function in [*functions, sweep.run_sweep, sweep.run_preset]
+        if inspect.isfunction(function)
+    }
+    defaults = {name: p["spec"].default for name, p in parameters.items() if "spec" in p}
+    assert len(defaults) == 12
+    assert defaults == dict.fromkeys(defaults, QuadratureSpec())
