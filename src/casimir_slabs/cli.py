@@ -185,14 +185,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str) -> list[str]:
-    """The file's ``key = value`` lines as ``--key=value`` arguments."""
+    """The file's ``key = value`` or ``key: value`` lines as ``--key=value`` args."""
     arguments = []
     with open(path) as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, sep, value = line.partition("=" if "=" in line else ":")
+            # The first of '=' and ':' separates, so a value may hold the other.
+            key, sep, value = line.partition(":" if ":" in line.split("=")[0] else "=")
             if not sep:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value'")
             arguments.append(f"--{key.strip().replace('_', '-')}={value.strip()}")

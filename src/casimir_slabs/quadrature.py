@@ -100,8 +100,8 @@ class IntegralResult:
 
 
 def _tanh_sinh(end: float, step: float, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes y on (0, end] and dy/dtau at tau = k step/2^level, increasing
-    from -_TAU_LO to _TAU_HI: every level holds the previous level's nodes.
+    """Nodes y on (0, end] and weights h dy/dtau at tau = k h, h = step/2^level,
+    from -_TAU_LO up to _TAU_HI: every level holds the previous level's nodes.
 
     y = end / (1 + e^-2s) with s = (pi/2) sinh(tau), so y and end - y
     are both accurate near their ends.
@@ -110,52 +110,44 @@ def _tanh_sinh(end: float, step: float, level: int) -> tuple[np.ndarray, np.ndar
     tau = np.arange(-round(_TAU_LO / h), round(_TAU_HI / h) + 1) * h
     s = 0.5 * math.pi * np.sinh(tau)
     y = end / (1.0 + np.exp(-2.0 * s))
-    dy = 0.25 * math.pi * end * np.cosh(tau) / np.cosh(s) ** 2
-    return y, dy
+    weight = 0.25 * math.pi * end * h * np.cosh(tau) / np.cosh(s) ** 2
+    return y, weight
 
 
-def _p_nodes(transform: str, level: int) -> tuple[np.ndarray, ...]:
-    """(p, q, dp/dtau, y, dp/dy) of the p nodes of ``level`` in increasing
-    tau, y being u (p = cosh u) or t (p = 1 + t^2)."""
+def _p_nodes(transform: str, level: int) -> tuple:
+    """(p, q, weight) of the p nodes of ``level`` in increasing tau, and the
+    multipliers turning |f| at the last and first node into bounds on the
+    integral beyond the window, twice the tail of the slowest allowed
+    decay p^-2 (e^-u: g(u); t^-3: g(t) t/2), and below the first node,
+    where a (p^2-1)^-s endpoint leaves g ~ y^(1-2s): y g(y), which the
+    engine divides by 2 - 2s (y is u or t).  Every level has the same end
+    nodes, so the same multipliers."""
     end, step = _P_RULES[transform]
     y, dy = _tanh_sinh(end, step, level)
     if transform == "hyperbolic":
         p, q = np.cosh(y), np.sinh(y)
-        jac = q
+        jac, beyond = q, 2.0
     else:
         p, q = 1.0 + y * y, y * np.sqrt(2.0 + y * y)
-        jac = 2.0 * y
-    return p, q, jac * dy, y, jac
-
-
-@lru_cache(maxsize=None)
-def _p_end_weights(transform: str, order: float) -> tuple[float, float]:
-    """Multipliers turning |f| at the last and first p node into bounds on
-    the integral beyond the window, twice the tail of the slowest allowed
-    decay p^-2 (e^-u: g(u); t^-3: g(t) t/2), and below the first node,
-    where a (p^2-1)^-s endpoint leaves g ~ y^(1-2s): y g(y) / (2 - 2s)."""
-    _, _, _, y, jac = _p_nodes(transform, 0)
-    beyond = 2.0 * (1.0 if transform == "hyperbolic" else 0.5 * y[-1])
-    return beyond * jac[-1], y[0] * jac[0] / (2.0 - 2.0 * order)
+        jac, beyond = 2.0 * y, y[-1]
+    return p, q, jac * dy, beyond * jac[-1], y[0] * jac[0]
 
 
 @lru_cache(maxsize=None)
 def _levels(x_max: float, transform: str, with_x: bool) -> tuple:
     """Read-only (x, wx, p, q, wp) of each visited level, its nodes in
-    increasing tau with their weights; without x, one x node of unit weight."""
-    p_step = _P_RULES[transform][1]
+    increasing tau with their weights (without x, one x node of unit
+    weight), and the p-window end multipliers of _p_nodes."""
     levels = []
     for level in _VISITED_LEVELS:
         x, wx = np.zeros(1), np.ones(1)
         if with_x:
-            x, dx = _tanh_sinh(x_max, _X_STEP, level)
-            wx = dx * (_X_STEP / 2 ** level)
-        p, q, dp = _p_nodes(transform, level)[:3]
-        wp = dp * (p_step / 2 ** level)
+            x, wx = _tanh_sinh(x_max, _X_STEP, level)
+        p, q, wp, beyond, below = _p_nodes(transform, level)
         for nodes in (x, wx, p, q, wp):
             nodes.flags.writeable = False
         levels.append((x, wx, p, q, wp))
-    return tuple(levels)
+    return tuple(levels), beyond, below
 
 
 def integrate_p_axis(
@@ -177,10 +169,11 @@ def integrate_p_axis(
     if not 0.0 <= singularity_order < 1.0:
         raise ValueError(f"singularity_order must lie in [0, 1): {singularity_order}")
     kernel = f if with_x else lambda x, p, q: f(p, q)
-    beyond, below = _p_end_weights(spec.p_transform, singularity_order)
+    levels, beyond, below = _levels(spec.x_max, spec.p_transform, with_x)
+    below /= 2.0 - 2.0 * singularity_order
     previous, evaluations = None, 0
     with np.errstate(all="ignore"):  # a non-finite sum is reported, not warned
-        for x, wx, p, q, wp in _levels(spec.x_max, spec.p_transform, with_x):
+        for x, wx, p, q, wp in levels:
             grid = kernel(x[:, None], p[None, :], q[None, :])
             # A row constant in x is copied to full shape: a stride-0 grid
             # sums to other bits.

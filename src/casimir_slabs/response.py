@@ -228,10 +228,13 @@ def drude_eps_imaginary_axis(xi, omega_p: float, eps_b: float, delta: float = 0.
 
     Real, larger than eps_b, and monotonically decreasing in xi, as any
     response function must be on the imaginary axis.  The static point
-    xi = 0 is a pole and rejected.
+    xi = 0 is a pole and rejected, as are non-finite parameters and delta < 0.
     """
     if not np.all(xi > 0.0):
         raise ValueError(f"xi must be > 0, got {np.min(xi)}")
+    for name, value in (("omega_p", omega_p), ("eps_b", eps_b), ("delta", delta)):
+        _require(np.isfinite(value), name + " must be finite, got {}", value)
+    _require(np.greater_equal(delta, 0.0), "delta must be >= 0, got {}", delta)
     return eps_b + omega_p * omega_p / (xi * (xi + delta))
 
 

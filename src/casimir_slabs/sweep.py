@@ -230,12 +230,7 @@ def _force_columns(result: ForceResult) -> dict:
 
 
 def _casimir(params: dict, slab: None, spec: QuadratureSpec) -> dict:
-    return {
-        "ratio_to_casimir": 1.0,
-        "pressure_pa": casimir_pressure(params["l"]),
-        "error_estimate": 0.0,
-        "validity": "valid",
-    }
+    return _force_columns(ForceResult(1.0, casimir_pressure(params["l"]), 0.0, "valid"))
 
 
 def _main_terms(params: dict, slab: None, spec: QuadratureSpec) -> dict:

@@ -30,6 +30,7 @@ SMOOTH = {
     "steep": (lambda x: math.tanh(20.0 * (x - 0.3)), -1.0, 2.0),
     "quintic": (lambda x: x ** 5 - x - 1.0, 1.0, 2.0),
     "flat": (lambda x: math.atan(x) - 1.0e-3, -10.0, 50.0),
+    "zero_at_a": (lambda x: x * x - 4.0, 2.0, 5.0),  # the root is the low end
 }
 
 

@@ -310,6 +310,22 @@ class TestConfigFile:
         assert code == 0
         assert out.read_text().startswith("d_nm,l_nm,")
 
+    def test_colon_form_matches_the_equals_form(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("l-nm: 1000\n")
+        colon = run(capsys, "casimir", "--config", str(config))
+        assert colon == run(capsys, "casimir", "--l-nm", "1000")
+        assert colon[0] == 0
+
+    def test_the_first_separator_splits(self, capsys, tmp_path):
+        # a value may hold the other separator, as axis = l:100:1000:2 does
+        config = tmp_path / "run.conf"
+        config.write_text(f"out: {tmp_path / 'a=b.csv'}\n")
+        code, _, err = run(capsys, "preset", "fig2", "--points", "2",
+                           "--config", str(config))
+        assert code == 0, err
+        assert (tmp_path / "a=b.csv").is_file()
+
     def test_malformed_config(self, capsys, tmp_path):
         config = tmp_path / "bad.conf"
         config.write_text("just words without separator\n")

@@ -16,10 +16,10 @@ from casimir_slabs import (
     thin_limit_coefficient,
     thin_limit_ratio,
 )
-from casimir_slabs import QuadratureSpec, eps_tilde, lifshitz, momentum_from_xp
+from casimir_slabs import QuadratureSpec, cli, eps_tilde, lifshitz, momentum_from_xp
 from casimir_slabs.constants import C_NM_PER_S, HBAR_C_J_M
 from casimir_slabs.lifshitz import _film_ratio, _film_weight, _thin_limit_parts
-from casimir_slabs.quadrature import _levels
+from casimir_slabs.quadrature import IntegralResult, QuadratureError, _levels
 
 OMEGA_P = 2.0e16
 
@@ -254,7 +254,7 @@ class TestFilmCache:
                             lambda beta, r: betas.append(beta) or factor(beta, r))
         nonlocal_isotropic_ratio(slab, l, QuadratureSpec(rel_tol=1e-4))
         assert len(set(betas)) == 1
-        x, _, p, q, _ = _levels(40.0, "hyperbolic", True)[-1]
+        x, _, p, q, _ = _levels(40.0, "hyperbolic", True)[0][-1]
         block = x[:, None], p[None, :], q[None, :]
         new = factor(betas[0], _film_ratio(tuple(n.tobytes() for n in block)))
         k = momentum_from_xp(*block, l)
@@ -276,6 +276,22 @@ class TestThinLimit:
         assert thin_limit_coefficient() == coeff
         assert err < 1.0e-11
         assert abs(coeff - 4.787491936684390) <= err
+
+    def test_unconverged_p_integral_raises(self, monkeypatch, capsys):
+        # The coefficient is certified: a p integral that did not converge
+        # raises, and the command line exits 3 with no RESULT line.
+        failed = IntegralResult(4.0, 1.0, False, 1)
+        monkeypatch.setattr(lifshitz, "integrate_p_axis", lambda *args: failed)
+        _thin_limit_parts.cache_clear()
+        try:
+            with pytest.raises(QuadratureError, match="thin-limit"):
+                thin_limit_coefficient()
+            assert cli.main(["iso-thin", "--d-nm", "1", "--l-nm", "1000"]) == 3
+        finally:
+            _thin_limit_parts.cache_clear()
+        out, err = capsys.readouterr()
+        assert "RESULT" not in out
+        assert "thin-limit p integral did not converge" in err
 
     def test_example_arithmetic(self):
         res = thin_limit_ratio(film(10.0), 1000.0)

@@ -202,7 +202,7 @@ class TestLevels:
         # visited level must hold its nodes in increasing tau, from
         # tau = -3.5 to 2.0 as level 0 does, and the previous level's nodes.
         # p = cosh u rounds to 1 at the first nodes; q = sinh u orders them.
-        levels = _levels(40.0, transform, with_x)
+        levels = _levels(40.0, transform, with_x)[0]
         p_ends, q_ends = (nodes[[0, -1]] for nodes in _p_nodes(transform, 0)[:2])
         x_ends = _tanh_sinh(40.0, 0.5, 0)[0][[0, -1]]
         previous = None
@@ -219,6 +219,33 @@ class TestLevels:
                 assert all(np.isin(*pair).all() for pair in zip(previous, (x, p, q)))
             previous = x, p, q
         assert len(levels) == len(_VISITED_LEVELS)
+
+    def test_only_the_visited_levels_are_built(self):
+        # From empty caches, a nonlocal film point (an (x, p) integral),
+        # the thin-limit coefficient (p alone) and a nanotube force build
+        # the nodes of the visited levels and of no other: the p-window
+        # end multipliers come from the same build.
+        src = Path(casimir_slabs.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", LEVEL_PROBE], capture_output=True, text=True,
+            check=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert json.loads(done.stdout.splitlines()[-1]) == list(_VISITED_LEVELS)
+
+
+# Prints, as JSON, the levels whose tanh-sinh nodes a fresh interpreter
+# builds while it runs one command of each integral kind.
+LEVEL_PROBE = """
+import json
+from casimir_slabs import cli, quadrature
+built, rule = set(), quadrature._tanh_sinh
+quadrature._tanh_sinh = lambda end, step, level: built.add(level) or rule(end, step, level)
+for argv in (["iso-nonlocal", "--d-nm", "10", "--l-nm", "1000"],
+             ["iso-thin", "--d-nm", "1", "--l-nm", "1000"],
+             ["aniso", "--layers", "5", "--radius-nm", "2", "--l-nm", "1000"]):
+    assert cli.main(argv) == 0
+print(json.dumps(sorted(built)))
+"""
 
 
 class TestDoubleIntegral:
@@ -252,7 +279,7 @@ class TestDoubleIntegral:
         res = integrate_p_axis(f, spec=spec, with_x=with_x)
         assert res.converged and len(shapes) > 1
         assert all(0 not in shape for shape in shapes), shapes
-        levels = _levels(spec.x_max, spec.p_transform, with_x)
+        levels = _levels(spec.x_max, spec.p_transform, with_x)[0]
         grids = [(x.size, p.size) for x, _, p, _, _ in levels[:2]]
         assert shapes == grids
         assert res.evaluations == sum(nx * npp for nx, npp in grids)

@@ -287,6 +287,24 @@ class TestDrude:
         with pytest.raises(ValueError):
             drude_eps_imaginary_axis(xi, OMEGA_P, 9.0)
 
+    @pytest.mark.parametrize("name,bad", [
+        ("omega_p", math.nan), ("omega_p", math.inf), ("eps_b", math.nan),
+        ("eps_b", -math.inf), ("delta", math.nan), ("delta", math.inf),
+        ("delta", -2e15),
+    ])
+    def test_bad_parameters_rejected(self, name, bad):
+        # delta = -2e15 once gave 9 + 4e32/(1e15 * -1e15) = -391, below eps_b
+        args = {"omega_p": 2e16, "eps_b": 9.0, "delta": 0.0, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must .* got {bad}"):
+            drude_eps_imaginary_axis(1e15, **args)
+
+    def test_bad_parameter_in_an_array_is_named(self):
+        with pytest.raises(ValueError, match="omega_p must be finite, got nan"):
+            drude_eps_imaginary_axis(1e15, np.array([2e16, math.nan]), 9.0)
+
+    def test_zero_plasma_frequency_and_damping_accepted(self):
+        assert drude_eps_imaginary_axis(1e15, 0.0, 9.0, delta=0.0) == 9.0
+
     def test_decreasing_and_bounded_below(self):
         grid = np.geomspace(1e12, 1e20, 30)
         values = [drude_eps_imaginary_axis(x, OMEGA_P, 9.0) for x in grid]
@@ -302,7 +320,7 @@ class TestDrude:
 def node_block(level):
     """The (x, p, q) node grid of ``level`` of the default spec, shaped as
     the engine passes it to a kernel, and its cache key."""
-    x, _, p, q, _ = _levels(40.0, "hyperbolic", True)[_VISITED_LEVELS.index(level)]
+    x, _, p, q, _ = _levels(40.0, "hyperbolic", True)[0][_VISITED_LEVELS.index(level)]
     block = x[:, None], p[None, :], q[None, :]
     return block, tuple(nodes.tobytes() for nodes in block)
 
