@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lifshitz import RATIO_NORM, ForceResult, _bose, _nonlocal_force
-from .quadrature import _VISITED_LEVELS, IntegralResult, QuadratureError, QuadratureSpec
+from .quadrature import _KERNEL_LEVELS, IntegralResult, QuadratureError, QuadratureSpec
 from .quadrature import integrate_xp
 from .response import NanotubeArraySlab, _node_block, _require_background
 from .response import _tube_normalisation, fresnel_coeffs, momentum_from_xp
@@ -125,7 +125,7 @@ def _tube_scale(array: NanotubeArraySlab) -> float:
 
 # Keyed like lifshitz._film_ratio plus l, R and eps_b, and sized like it: one
 # entry serves every thickness, so a crossover search computes each block once.
-@lru_cache(maxsize=len(_VISITED_LEVELS))
+@lru_cache(maxsize=len(_KERNEL_LEVELS))
 def _tube_weights(key: tuple, l: float, radius: float, eps_b: float) -> tuple:
     """Read-only co-aligned and crossed weights of one node block over the
     tube normalisation sqrt(2 z I0 K0), z = k R: x^4 e^x/(e^x - 1)^2/p^4
@@ -258,7 +258,8 @@ def crossover_thickness(
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> CrossoverResult:
     """Brent search (_brentq) for the thickness at which F_par - F_perp
-    changes sign, to a bracket of CROSSOVER_XTOL_NM (1e-3 nm).
+    changes sign, run in u = d^(-1/2), where the thin-film correction's
+    1/sqrt(d) makes it nearly linear, to a d bracket of CROSSOVER_XTOL_NM.
 
     ``array_template`` supplies everything but the thickness, which is
     replaced per probe (so the d >= 2R invariant is enforced on every
@@ -288,8 +289,11 @@ def crossover_thickness(
     a_lo, a_hi = aniso(d_lo), aniso(d_hi)
     sign_lo, sign_hi = math.copysign(1.0, a_lo), math.copysign(1.0, a_hi)
     root = d_error = None
-    if sign_lo != sign_hi:
-        d, converged = _brentq(aniso, d_lo, d_hi, a_lo, a_hi, CROSSOVER_XTOL_NM)
+    if sign_lo != sign_hi:  # in u; |dd/du| <= 2 d_hi^1.5 keeps the d bracket to xtol
+        u_lo, u_hi = d_lo ** -0.5, d_hi ** -0.5
+        u, converged = _brentq(lambda u: aniso(u ** -2.0), u_lo, u_hi, a_lo, a_hi,
+                               CROSSOVER_XTOL_NM / (2.0 * d_hi ** 1.5))
+        d = {u_lo: d_lo, u_hi: d_hi}.get(u, u ** -2.0)  # an end exactly: d >= 2R holds
     if sign_lo != sign_hi and converged:
         # The root lies between d and the nearest probe of the other sign;
         # the error estimate at d over the secant slope widens that.

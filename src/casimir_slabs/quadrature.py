@@ -10,15 +10,15 @@ t sqrt(2+t^2)), so they never form p*p - 1 near p = 1.
 
 Only levels 3 to 5 are built, each at its own step, half the one before
 on both axes; at the default spec no force integral of the presets would
-stop sooner.  The kernel is called once per level on its whole grid,
-nodes in increasing tau.  The error estimate is |I_h - I_h/2| (Bailey,
-Jeyabalan & Li, Exp. Math. 14 (2005) 317) plus bounds on the x tail
-beyond x_max, the p tail beyond the window and below its first node, and
-a roundoff floor of a few eps sum |w f|.  A tolerance below that floor
-is reported as not converged, never clamped.  Each level's nodes and
-weights are built once per (x_max, p substitution) and kept read-only:
-kernels get views of them, so the engine is safe in threads, and a
-kernel writing into its arguments raises ValueError.
+stop sooner.  The kernel is called once per level from level 4 on, on its
+whole grid in increasing tau; I_h, level 3's sum first, reads the even
+nodes of I_h/2's grid, its own nodes bit for bit.  The error estimate is
+|I_h - I_h/2| (Bailey, Jeyabalan & Li, Exp. Math. 14 (2005) 317) plus
+bounds on the x tail beyond x_max, the p tail beyond the window and below
+its first node, and a roundoff floor of a few eps sum |w f|.  A tolerance
+below that floor is reported as not converged, never clamped.  Nodes and
+weights are built once per (x_max, p substitution), read-only: kernels get
+views, so the engine is thread-safe, and one writing into them raises ValueError.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ _X_STEP = 0.5  # level-0 step on the x axis
 # decays like e^-u in u = arccosh p, but like t^-3 in t = sqrt(p-1), whose
 # long window needs a finer step for its O(1) region.
 _P_RULES = {"hyperbolic": (40.0, 0.5), "shifted-square": (1.0e5, 0.125)}
-_VISITED_LEVELS = range(3, 6)  # levels an integral runs; the last x step is 1/64
+_VISITED_LEVELS = range(3, 6)  # levels an integral sums; the last x step is 1/64
+_KERNEL_LEVELS = _VISITED_LEVELS[1:]  # levels whose node blocks a kernel receives
 _ROUNDOFF = 8.0 * sys.float_info.epsilon
 _TIGHTEN = 10.0  # tightened() divides both tolerances by this
 
@@ -171,30 +172,31 @@ def integrate_p_axis(
     kernel = f if with_x else lambda x, p, q: f(p, q)
     levels, beyond, below = _levels(spec.x_max, spec.p_transform, with_x)
     below /= 2.0 - 2.0 * singularity_order
-    previous, evaluations = None, 0
+    evaluations = 0
     with np.errstate(all="ignore"):  # a non-finite sum is reported, not warned
-        for x, wx, p, q, wp in levels:
+        for (_, wxc, _, _, wpc), (x, wx, p, q, wp) in zip(levels, levels[1:]):
             grid = kernel(x[:, None], p[None, :], q[None, :])
             # A row constant in x is copied to full shape: a stride-0 grid
             # sums to other bits.
             grid = np.ascontiguousarray(np.broadcast_to(grid, (x.size, p.size)))
             evaluations += grid.size
+            # Even nodes are the coarser level's, bit for bit; a copy sums as its grid.
+            coarse = float(wxc @ np.ascontiguousarray(grid[::2, ::2]) @ wpc)
             value = float(wx @ grid @ wp)
-            if not math.isfinite(value):
-                return IntegralResult(value, math.inf, False, evaluations)
-            if previous is not None:  # the first level's bounds would go unused
-                magnitude = np.abs(grid)
-                floor = _ROUNDOFF * float(wx @ magnitude @ wp)
-                ends = beyond * magnitude[:, -1] + below * magnitude[:, 0]
-                tails = float(wx @ ends)
-                if with_x:
-                    tails += 2.0 * float(magnitude[-1] @ wp)
-                tolerance = max(spec.abs_tol, spec.rel_tol * abs(value))
-                err = abs(value - previous) + tails + floor
-                # Once the floor is all that is left, no finer level can help.
-                if err <= max(tolerance, 2.0 * floor):
-                    return IntegralResult(value, err, err <= tolerance, evaluations)
-            previous = value
+            for total in (coarse, value):
+                if not math.isfinite(total):
+                    return IntegralResult(total, math.inf, False, evaluations)
+            magnitude = np.abs(grid)
+            floor = _ROUNDOFF * float(wx @ magnitude @ wp)
+            ends = beyond * magnitude[:, -1] + below * magnitude[:, 0]
+            tails = float(wx @ ends)
+            if with_x:
+                tails += 2.0 * float(magnitude[-1] @ wp)
+            tolerance = max(spec.abs_tol, spec.rel_tol * abs(value))
+            err = abs(value - coarse) + tails + floor
+            # Once the floor is all that is left, no finer level can help.
+            if err <= max(tolerance, 2.0 * floor):
+                return IntegralResult(value, err, err <= tolerance, evaluations)
     return IntegralResult(value, err, False, evaluations)
 
 

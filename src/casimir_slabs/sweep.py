@@ -114,6 +114,8 @@ class SweepAxis:
         object.__setattr__(self, "points", _count(self.points, f"{self.name}: points"))
         if self.spacing not in ("linear", "log"):
             raise UsageError(f"axis {self.name}: spacing must be linear or log")
+        if not np.isfinite([self.start, self.stop]).all():
+            raise UsageError(f"axis {self.name}: bounds must be finite")
         if self.spacing == "log" and (self.start <= 0.0 or self.stop <= 0.0):
             raise UsageError(f"axis {self.name}: log spacing needs positive bounds")
 

@@ -2,7 +2,7 @@ import pytest
 
 from casimir_slabs import IsotropicSlab, NanotubeArraySlab, QuadratureSpec
 from casimir_slabs import anisotropic, lifshitz, response
-from casimir_slabs.quadrature import _VISITED_LEVELS
+from casimir_slabs.quadrature import _KERNEL_LEVELS
 
 OMEGA_P = 2.0e16  # free-electron-gas bulk plasma frequency, 1/s
 
@@ -33,14 +33,14 @@ def tube_array():
 
 def empty_node_block_caches():
     """Empty every lru_cache of lifshitz and anisotropic sized to the levels
-    an integral visits, the node-block caches, found by enumeration so that
-    a cache added later is emptied too."""
+    whose node blocks a kernel receives, the node-block caches, found by
+    enumeration so that a cache added later is emptied too."""
     caches = {
         value
         for module in (lifshitz, anisotropic)
         for value in vars(module).values()
         if hasattr(value, "cache_parameters")
-        and value.cache_parameters()["maxsize"] == len(_VISITED_LEVELS)
+        and value.cache_parameters()["maxsize"] == len(_KERNEL_LEVELS)
     }
     assert caches, "no node-block cache found"
     for cache in caches:

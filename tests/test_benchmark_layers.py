@@ -45,15 +45,16 @@ def test_expected_metrics_are_reported(workload):
 def test_warm_crossover_passes_report_the_same_nonzero_work(fast_spec):
     # The node-block caches live as long as one (l, R) search, so every
     # warm pass of the same searches counts the same work, none of it zero:
-    # a cache that outlived its search would read zero here first.
+    # a cache that outlived its search would read zero here first.  A pass
+    # makes as many searches, at distinct l, as the workload's.
     import casimir_slabs as cs
 
     array = cs.NanotubeArraySlab(omega_p3d=2.0e16, radius_R=2.0, thickness_d=100.0,
                                  eps_b=10.0)
 
     def one_pass():  # through the package's name, which the tracer wraps
-        for l in (1000.0, 1100.0):
-            cs.crossover_thickness(array, l, (4.0, 100.0), fast_spec)
+        for i in range(workloads.Crossover.problems):
+            cs.crossover_thickness(array, 1000.0 + 100.0 * i, (4.0, 100.0), fast_spec)
 
     one_pass()  # caches the main terms
     passes = []

@@ -1,6 +1,7 @@
 """Brent's method in the package against scipy.optimize.brentq, the
 routine it reproduces: the same probes in the same order and the same
-root, bit for bit, on smooth functions and on the crossover search."""
+root, bit for bit, on smooth functions and on the crossover search, which
+runs in u = d^(-1/2)."""
 
 import math
 
@@ -88,8 +89,15 @@ def test_crossover_search_takes_brentqs_probes(eps_b, l, radius, d_max, monkeypa
     monkeypatch.setattr(anisotropic, "orientation_forces", probe)
     result = cs.crossover_thickness(array(d_max), l, (2.0 * radius, d_max))
     monkeypatch.undo()
-    aniso, theirs = recorded(lambda d: forces(array(d), l).anisotropy)
-    root = brentq(aniso, 2.0 * radius, d_max, xtol=CROSSOVER_XTOL_NM)
-    assert ours == theirs
-    assert result.crossover_d == root and type(result.crossover_d) is float
+    # g(u) = anisotropy(u^-2), from the low end's u down to the high end's,
+    # probed at exactly 2R and d_max there; |dd/du| <= 2 d_max^1.5 maps
+    # xtol in d to xtol in u.
+    ends = {(2.0 * radius) ** -0.5: 2.0 * radius, d_max ** -0.5: d_max}
+    thickness = lambda u: ends.get(u, u ** -2.0)
+    aniso, theirs = recorded(lambda u: forces(array(thickness(u)), l).anisotropy)
+    xtol_u = CROSSOVER_XTOL_NM / (2.0 * d_max ** 1.5)
+    root = brentq(aniso, *ends, xtol=xtol_u)
+    assert ours == [thickness(u) for u in theirs]
+    assert ours[:2] == [2.0 * radius, d_max]
+    assert result.crossover_d == thickness(root) and type(result.crossover_d) is float
     assert result.iterations == len(theirs) - 2

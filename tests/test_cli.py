@@ -953,6 +953,16 @@ def test_bad_library_grid_sizes_are_usage_errors(tmp_path, call, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("start, stop, spacing", [
+    (math.nan, 100.0, "linear"), (100.0, math.inf, "log"), (-math.inf, 100.0, "linear"),
+])
+def test_non_finite_axis_bounds_are_usage_errors(start, stop, spacing):
+    # The CLI's own checks never send these; without the library's check a
+    # NaN bound reached the evaluators as a plain ValueError.
+    with pytest.raises(sweep.UsageError, match="^axis l: bounds must be finite$"):
+        sweep.SweepAxis("l", start, stop, 3, spacing)
+
+
 def test_numpy_integer_sizes_are_plain_sizes(tmp_path, fast_spec):
     axis = sweep.SweepAxis("l", 100.0, 1000.0, np.int64(3))
     request = sweep.SweepRequest("casimir", {}, (axis,), str(tmp_path / "a.csv"))

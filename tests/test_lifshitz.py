@@ -199,9 +199,10 @@ class TestNonlocalIsotropic:
         assert res.validity == "correction_dominant"
 
     def test_loose_tolerance_gets_the_level_four_answer(self, spec, monkeypatch):
-        # The first kernel call sees level 3's whole grid and the first
-        # comparison is against level 4, so a tolerance that a coarser level
-        # would meet gives the default spec's result bit for bit.
+        # The first kernel call sees level 4's whole grid, whose even nodes
+        # give level 3's sum, and the first comparison is against level 4,
+        # so a tolerance that a coarser level would meet gives the default
+        # spec's result bit for bit.
         shapes, integrate = [], lifshitz.integrate_xp
 
         def recorded(f, *args, **kwargs):
@@ -212,13 +213,13 @@ class TestNonlocalIsotropic:
 
         monkeypatch.setattr(lifshitz, "integrate_xp", recorded)
         loose = nonlocal_isotropic_ratio(film(10.0), 1000.0, QuadratureSpec(rel_tol=1e-2))
-        assert shapes == [(89, 89), (177, 177)]
+        assert shapes == [(177, 177)]
         assert loose == nonlocal_isotropic_ratio(film(10.0), 1000.0, spec)
 
 
 class TestFilmCache:
     # rel_tol below the roundoff floor: every level runs, so one integral
-    # touches one node block per level it runs, levels 3 to 5
+    # touches one node block per level whose kernel it calls, levels 4 and 5
     EVERY_LEVEL = QuadratureSpec(rel_tol=1e-15, abs_tol=0.0)
 
     def test_cold_cache_gives_the_warm_bits(self, spec):
@@ -234,7 +235,7 @@ class TestFilmCache:
         # another (d, l) reads every block the first one computed
         empty_node_block_caches()
         nonlocal_isotropic_ratio(film(10.0), 1000.0, self.EVERY_LEVEL)
-        blocks = 3
+        blocks = 2
         before = _film_ratio.cache_info(), _film_weight.cache_info()
         assert [info.misses for info in before] == [blocks, blocks]
         nonlocal_isotropic_ratio(film(200.0), 300.0, self.EVERY_LEVEL)

@@ -12,8 +12,12 @@ import pytest
 
 import casimir_slabs
 from casimir_slabs import QuadratureSpec, bose_integral, integrate_p_axis, integrate_xp
-from casimir_slabs import sweep
-from casimir_slabs.quadrature import _VISITED_LEVELS, _levels, _p_nodes, _tanh_sinh
+from casimir_slabs import anisotropic, lifshitz, sweep
+from casimir_slabs.quadrature import _ROUNDOFF, _VISITED_LEVELS, _levels, _p_nodes
+from casimir_slabs.quadrature import _tanh_sinh
+from casimir_slabs.response import momentum_from_xp
+
+from conftest import empty_node_block_caches
 
 PI4_OVER_15 = math.pi ** 4 / 15.0
 
@@ -248,6 +252,134 @@ print(json.dumps(sorted(built)))
 """
 
 
+def tube(radius):
+    return casimir_slabs.NanotubeArraySlab(
+        omega_p3d=2.0e16, radius_R=radius, thickness_d=4.0 * radius, eps_b=10.0
+    )
+
+
+# Every kernel family the package integrates: (module whose engine name the
+# call reaches, that name, the call at a spec).  The main terms and the
+# thin-limit coefficient are cached, so their calls bypass the cache.
+KERNEL_FAMILIES = {
+    "film": (lifshitz, "integrate_xp", lambda spec: lifshitz.nonlocal_isotropic_ratio(
+        casimir_slabs.IsotropicSlab(omega_p3d=2.0e16, thickness_d=10.0, eps_b=9.0),
+        1000.0, spec)),
+    # z = k R <= 0.04: the Bessel product's series alone
+    "tube-small-z": (lifshitz, "integrate_xp", lambda spec: anisotropic.orientation_forces(
+        tube(2.0), 1000.0, spec)),
+    # z from ~0 to 25 (50 at x_max 79.08): np.piecewise over all three branches
+    "tube-straddling": (lifshitz, "integrate_xp", lambda spec: anisotropic.orientation_forces(
+        tube(5.0), 4.0, spec)),
+    "main-parallel": (anisotropic, "integrate_xp",
+                      lambda spec: anisotropic._main_parallel_integral.__wrapped__(10.0, spec)),
+    "main-perp": (anisotropic, "integrate_xp",
+                  lambda spec: anisotropic._main_perp_integral.__wrapped__(10.0, spec)),
+    "general": (lifshitz, "integrate_xp", lambda spec: lifshitz.lifshitz_pressure_general(
+        lambda xi: 1.0 + (2.0e16 / xi) ** 2, lambda xi: 4.0, 500.0, spec)),
+    "thin-limit": (lifshitz, "integrate_p_axis",
+                   lambda spec: lifshitz._thin_limit_parts.__wrapped__()),
+}
+
+
+def kernel_calls(monkeypatch, family, spec):
+    """The (engine, kernel, args, kwargs) of every integral of ``family``."""
+    module, name, call = KERNEL_FAMILIES[family]
+    engine, calls = getattr(module, name), []
+
+    def capture(f, *args, **kwargs):
+        calls.append((engine, f, args, kwargs))
+        return engine(f, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, capture)
+    call(spec)
+    monkeypatch.undo()
+    assert calls
+    return calls
+
+
+def kernel_grid(f, level, with_x):
+    """A level's whole grid of f as the engine sums it."""
+    x, _, p, q, _ = level
+    kernel = f if with_x else lambda x, p, q: f(p, q)
+    with np.errstate(all="ignore"):
+        grid = kernel(x[:, None], p[None, :], q[None, :])
+    return np.ascontiguousarray(np.broadcast_to(grid, (x.size, p.size)))
+
+
+def level_three_first(f, singularity_order=0.0, spec=QuadratureSpec(), with_x=False):
+    """integrate_p_axis as it ran with a kernel call at level 3 and the
+    first comparison at level 4: (value, error_estimate, converged)."""
+    kernel = f if with_x else lambda x, p, q: f(p, q)
+    levels, beyond, below = _levels(spec.x_max, spec.p_transform, with_x)
+    below /= 2.0 - 2.0 * singularity_order
+    previous = None
+    with np.errstate(all="ignore"):
+        for level in levels:
+            _, wx, _, _, wp = level
+            grid = kernel_grid(kernel, level, True)
+            value = float(wx @ grid @ wp)
+            if not math.isfinite(value):
+                return value, math.inf, False
+            if previous is not None:
+                magnitude = np.abs(grid)
+                floor = _ROUNDOFF * float(wx @ magnitude @ wp)
+                tails = float(wx @ (beyond * magnitude[:, -1] + below * magnitude[:, 0]))
+                if with_x:
+                    tails += 2.0 * float(magnitude[-1] @ wp)
+                tolerance = max(spec.abs_tol, spec.rel_tol * abs(value))
+                err = abs(value - previous) + tails + floor
+                if err <= max(tolerance, 2.0 * floor):
+                    return value, err, err <= tolerance
+            previous = value
+    return value, err, False
+
+
+class TestLevelThreeFromLevelFour:
+    @pytest.mark.parametrize("abs_tol", [1.0e-12, 1.0e-30], ids=["x40", "x79.08"])
+    @pytest.mark.parametrize("transform", ["hyperbolic", "shifted-square"])
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    def test_even_nodes_hold_the_coarser_level(self, monkeypatch, family, transform,
+                                               abs_tol):
+        # Every tau of a level is an even-index tau of the next on both axes,
+        # so the engine reads level 3's kernel values off level 4's grid (and
+        # level 4's off level 5's): they must be the bits a kernel call on
+        # the coarser level's own nodes gives.
+        spec = QuadratureSpec(abs_tol=abs_tol, p_transform=transform)
+        assert spec.x_max == (40.0 if abs_tol == 1.0e-12 else pytest.approx(79.08, abs=1e-2))
+        for engine, f, _, _ in kernel_calls(monkeypatch, family, spec):
+            with_x = engine is integrate_xp
+            levels = _levels(spec.x_max, transform, with_x)[0]
+            for coarse, fine in zip(levels, levels[1:]):
+                assert np.array_equal(kernel_grid(f, fine, with_x)[::2, ::2],
+                                      kernel_grid(f, coarse, with_x))
+        empty_node_block_caches()  # drop the level-3 blocks the direct calls cached
+
+    def test_straddling_tube_block_runs_every_bessel_branch(self):
+        x, _, p, q, _ = _levels(40.0, "hyperbolic", True)[0][1]
+        z = momentum_from_xp(x[:, None], p[None, :], q[None, :], 4.0) * 5.0
+        assert z.min() <= 2.0 and z.max() >= 20.0
+
+    @pytest.mark.parametrize("spec", [
+        QuadratureSpec(), QuadratureSpec(p_transform="shifted-square"),
+        QuadratureSpec(rel_tol=1e-15, abs_tol=0.0),  # runs every level, unconverged
+    ], ids=["default", "shifted-square", "every-level"])
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    def test_result_equals_the_level_three_kernel_calls(self, monkeypatch, family, spec):
+        # Reading level 3 off level 4 keeps every bit of each integral's
+        # value and error estimate; only the evaluation count falls.
+        for engine, f, args, kwargs in kernel_calls(monkeypatch, family, spec):
+            res = engine(f, *args, **kwargs)
+            if engine is integrate_xp:
+                bound = inspect.signature(integrate_xp).bind(f, *args, **kwargs)
+                bound.apply_defaults()
+                _, xp_spec, order = bound.args
+                old = level_three_first(f, order, xp_spec, with_x=True)
+            else:
+                old = level_three_first(f, *args, **kwargs)
+            assert (res.value, res.error_estimate, res.converged) == old
+
+
 class TestDoubleIntegral:
     def test_separable_product(self, spec):
         res = integrate_xp(lambda x, p, q: np.exp(-x) / (p * p), spec)
@@ -267,9 +399,10 @@ class TestDoubleIntegral:
 
     @pytest.mark.parametrize("with_x", [False, True])
     def test_kernel_never_gets_an_empty_block(self, spec, with_x):
-        # One kernel call per level from level 3 on, on that level's whole
+        # One kernel call per level from level 4 on, on that level's whole
         # grid, so no block is empty and the evaluations are the sum of the
-        # grid sizes (for e^-x/p^2, 7921 + 31329 = 39250).
+        # grid sizes (for e^-x/p^2, level 4 alone: 31329); level 3's sum
+        # reads level 4's even nodes.
         shapes = []
 
         def f(*args):  # (p, q), or (x, p, q) with x: 1/p^2, or e^-x/p^2
@@ -277,15 +410,15 @@ class TestDoubleIntegral:
             return np.exp(-args[0] * with_x) / args[-2] ** 2
 
         res = integrate_p_axis(f, spec=spec, with_x=with_x)
-        assert res.converged and len(shapes) > 1
+        assert res.converged and len(shapes) == 1
         assert all(0 not in shape for shape in shapes), shapes
         levels = _levels(spec.x_max, spec.p_transform, with_x)[0]
-        grids = [(x.size, p.size) for x, _, p, _, _ in levels[:2]]
+        grids = [(x.size, p.size) for x, _, p, _, _ in levels[1:2]]
         assert shapes == grids
         assert res.evaluations == sum(nx * npp for nx, npp in grids)
         if with_x:
-            assert grids == [(89, 89), (177, 177)]
-            assert res.evaluations == 39250
+            assert grids == [(177, 177)]
+            assert res.evaluations == 31329
 
     def test_kernel_result_broadcasts_over_x(self, spec):
         # A kernel constant in x may return one row, (1, n_p); the engine
