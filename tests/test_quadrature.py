@@ -266,17 +266,18 @@ KERNEL_FAMILIES = {
         casimir_slabs.IsotropicSlab(omega_p3d=2.0e16, thickness_d=10.0, eps_b=9.0),
         1000.0, spec)),
     # z = k R <= 0.04: the Bessel product's series alone
-    "tube-small-z": (lifshitz, "integrate_xp", lambda spec: anisotropic.orientation_forces(
-        tube(2.0), 1000.0, spec)),
+    "tube-small-z": (lifshitz, "integrate_xp", lambda spec:
+                     anisotropic.orientation_forces(tube(2.0), 1000.0, spec)),
     # z from ~0 to 25 (50 at x_max 79.08): np.piecewise over all three branches
-    "tube-straddling": (lifshitz, "integrate_xp", lambda spec: anisotropic.orientation_forces(
-        tube(5.0), 4.0, spec)),
-    "main-parallel": (anisotropic, "integrate_xp",
-                      lambda spec: anisotropic._main_parallel_integral.__wrapped__(10.0, spec)),
-    "main-perp": (anisotropic, "integrate_xp",
-                  lambda spec: anisotropic._main_perp_integral.__wrapped__(10.0, spec)),
-    "general": (lifshitz, "integrate_xp", lambda spec: lifshitz.lifshitz_pressure_general(
-        lambda xi: 1.0 + (2.0e16 / xi) ** 2, lambda xi: 4.0, 500.0, spec)),
+    "tube-straddling": (lifshitz, "integrate_xp", lambda spec:
+                        anisotropic.orientation_forces(tube(5.0), 4.0, spec)),
+    "main-parallel": (anisotropic, "integrate_xp", lambda spec:
+                      anisotropic._main_parallel_integral.__wrapped__(10.0, spec)),
+    "main-perp": (anisotropic, "integrate_xp", lambda spec:
+                  anisotropic._main_perp_integral.__wrapped__(10.0, spec)),
+    "general": (lifshitz, "integrate_xp", lambda spec:
+                lifshitz.lifshitz_pressure_general(
+                    lambda xi: 1.0 + (2.0e16 / xi) ** 2, lambda xi: 4.0, 500.0, spec)),
     "thin-limit": (lifshitz, "integrate_p_axis",
                    lambda spec: lifshitz._thin_limit_parts.__wrapped__()),
 }
@@ -324,7 +325,8 @@ def level_three_first(f, singularity_order=0.0, spec=QuadratureSpec(), with_x=Fa
             if previous is not None:
                 magnitude = np.abs(grid)
                 floor = _ROUNDOFF * float(wx @ magnitude @ wp)
-                tails = float(wx @ (beyond * magnitude[:, -1] + below * magnitude[:, 0]))
+                ends = beyond * magnitude[:, -1] + below * magnitude[:, 0]
+                tails = float(wx @ ends)
                 if with_x:
                     tails += 2.0 * float(magnitude[-1] @ wp)
                 tolerance = max(spec.abs_tol, spec.rel_tol * abs(value))
@@ -346,7 +348,8 @@ class TestLevelThreeFromLevelFour:
         # level 4's off level 5's): they must be the bits a kernel call on
         # the coarser level's own nodes gives.
         spec = QuadratureSpec(abs_tol=abs_tol, p_transform=transform)
-        assert spec.x_max == (40.0 if abs_tol == 1.0e-12 else pytest.approx(79.08, abs=1e-2))
+        x_max = 40.0 if abs_tol == 1.0e-12 else pytest.approx(79.08, abs=1e-2)
+        assert spec.x_max == x_max
         for engine, f, _, _ in kernel_calls(monkeypatch, family, spec):
             with_x = engine is integrate_xp
             levels = _levels(spec.x_max, transform, with_x)[0]
@@ -365,7 +368,8 @@ class TestLevelThreeFromLevelFour:
         QuadratureSpec(rel_tol=1e-15, abs_tol=0.0),  # runs every level, unconverged
     ], ids=["default", "shifted-square", "every-level"])
     @pytest.mark.parametrize("family", KERNEL_FAMILIES)
-    def test_result_equals_the_level_three_kernel_calls(self, monkeypatch, family, spec):
+    def test_result_equals_the_level_three_kernel_calls(self, monkeypatch, family,
+                                                         spec):
         # Reading level 3 off level 4 keeps every bit of each integral's
         # value and error estimate; only the evaluation count falls.
         for engine, f, args, kwargs in kernel_calls(monkeypatch, family, spec):
