@@ -21,10 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lifshitz import RATIO_NORM, ForceResult, _bose, _nonlocal_force
-from .quadrature import _KERNEL_LEVELS, IntegralResult, QuadratureError, QuadratureSpec
+from .lifshitz import RATIO_NORM, ForceResult, _bose, _node_block_cache, _nonlocal_force
+from .quadrature import IntegralResult, QuadratureError, QuadratureSpec
 from .quadrature import integrate_xp
-from .response import NanotubeArraySlab, _node_block, _require_background
+from .response import NanotubeArraySlab, _require_background
 from .response import _tube_normalisation, fresnel_coeffs, momentum_from_xp
 
 __all__ = [
@@ -123,23 +123,18 @@ def _tube_scale(array: NanotubeArraySlab) -> float:
     return math.sqrt(array.period_Delta / (2.0 * math.pi * array.radius_R))
 
 
-# Keyed like lifshitz._film_ratio plus l, R and eps_b, and sized like it: one
-# entry serves every thickness, so a crossover search computes each block once.
-@lru_cache(maxsize=len(_KERNEL_LEVELS))
-def _tube_weights(key: tuple, l: float, radius: float, eps_b: float) -> tuple:
+@_node_block_cache
+def _tube_weights(x, p, q, l: float, radius: float, eps_b: float) -> tuple:
     """Read-only co-aligned and crossed weights of one node block over the
     tube normalisation sqrt(2 z I0 K0), z = k R: x^4 e^x/(e^x - 1)^2/p^4
     and x^4 e^x [phi p/(phi e^x - 1)^2 - (psi/p)/(psi e^x + 1)^2]/p^3,
     folded with e^(-2x) so nothing grows."""
-    x, p, q = _node_block(key)
     norm = _tube_normalisation(momentum_from_xp(x, p, q, l) * radius)
     emx = np.exp(-x)
     ph = phi(p, eps_b)
     ps = psi(p, eps_b)
     bracket = ph * p / (ph - emx) ** 2 - (ps / p) / (ps + emx) ** 2
-    weights = _bose(x) / (p * p) ** 2 / norm, x ** 4 * emx * bracket / p ** 3 / norm
-    weights[0].flags.writeable = weights[1].flags.writeable = False
-    return weights
+    return _bose(x) / (p * p) ** 2 / norm, x ** 4 * emx * bracket / p ** 3 / norm
 
 
 def f_parallel_ratio(
@@ -218,9 +213,10 @@ class CrossoverResult:
 CROSSOVER_XTOL_NM = 1.0e-3  # bracket width at which the search stops, nm
 
 
-def _brentq(f, xpre, xcur, fpre, fcur, xtol, rtol=4.0 * math.ulp(1.0), maxiter=100):
+def _brentq(f, xpre, xcur, fpre, fcur, xtol, maxiter=100):
     """(root, converged) of f on [xpre, xcur], where fpre and fcur differ in sign:
     Brent's method (Algorithms for Minimization without Derivatives, 1973, ch. 4)."""
+    rtol = 4.0 * math.ulp(1.0)  # scipy.optimize.brentq's default
     if fpre == 0.0:
         return xpre, True
     xblk = fblk = spre = scur = 0.0
@@ -291,8 +287,9 @@ def crossover_thickness(
     root = d_error = None
     if sign_lo != sign_hi:  # in u; |dd/du| <= 2 d_hi^1.5 keeps the d bracket to xtol
         u_lo, u_hi = d_lo ** -0.5, d_hi ** -0.5
-        u, converged = _brentq(lambda u: aniso(u ** -2.0), u_lo, u_hi, a_lo, a_hi,
-                               CROSSOVER_XTOL_NM / (2.0 * d_hi ** 1.5))
+        with np.errstate(over="ignore"):  # xtol 0 past d_hi ~ 3e205 nm; rtol ends it
+            xtol = float(CROSSOVER_XTOL_NM / (2.0 * np.float64(d_hi) ** 1.5))
+        u, converged = _brentq(lambda u: aniso(u ** -2.0), u_lo, u_hi, a_lo, a_hi, xtol)
         d = {u_lo: d_lo, u_hi: d_hi}.get(u, u ** -2.0)  # an end exactly: d >= 2R holds
     if sign_lo != sign_hi and converged:
         # The root lies between d and the nearest probe of the other sign;

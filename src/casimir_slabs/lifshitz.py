@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, Literal
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from .constants import C_NM_PER_S, HBAR_C_J_M, PI4
 from .quadrature import _KERNEL_LEVELS, QuadratureError, QuadratureSpec
 from .quadrature import integrate_p_axis, integrate_xp
-from .response import IsotropicSlab, _film_factor, _node_block, eps_tilde
+from .response import IsotropicSlab, _film_factor, eps_tilde
 from .response import _plain, _require
 from .special import bose_integral
 
@@ -165,24 +165,31 @@ def _bose(x):
     return x ** 4 * np.exp(-x) / np.expm1(-x) ** 2
 
 
-# One entry per level a kernel receives, keyed on a block's node bytes alone:
-# every correction integral, in every thread, reads the arrays the miss computed.
-@lru_cache(maxsize=len(_KERNEL_LEVELS))
-def _film_ratio(key: tuple) -> np.ndarray:
+def _node_block_cache(fn):
+    """Cache fn(x, p, q, *args) as cached(key, *args), keyed on the bytes of a
+    node block's (x, p, q), which fn gets as an x column and p, q rows: one
+    entry per level a kernel receives, and read-only arrays every thread shares."""
+
+    def cached(key: tuple, *args):
+        x, p, q = map(np.frombuffer, key)
+        arrays = fn(x[:, None], p[None, :], q[None, :], *args)
+        for array in arrays if isinstance(arrays, tuple) else (arrays,):
+            array.flags.writeable = False
+        return arrays
+
+    return lru_cache(maxsize=len(_KERNEL_LEVELS))(wraps(fn)(cached))
+
+
+@_node_block_cache
+def _film_ratio(x, p, q) -> np.ndarray:
     """Read-only r = p/(x q) of a node block: 1/(eps~ k d) = 2 l/(eps~ d) r."""
-    x, p, q = _node_block(key)
-    r = p / (x * q)
-    r.flags.writeable = False
-    return r
+    return p / (x * q)
 
 
-@lru_cache(maxsize=len(_KERNEL_LEVELS))
-def _film_weight(key: tuple) -> np.ndarray:
+@_node_block_cache
+def _film_weight(x, p, q) -> np.ndarray:
     """Read-only film weight x^4 e^x/(e^x - 1)^2 (p^2+1)/p^4 of a node block."""
-    x, p, _ = _node_block(key)
-    weight = _bose(x) * ((p * p + 1.0) / (p * p) ** 2)
-    weight.flags.writeable = False
-    return weight
+    return _bose(x) * ((p * p + 1.0) / (p * p) ** 2)
 
 
 def _nonlocal_force(slab, l, spec, *, main, weight, order, scale):

@@ -8,8 +8,7 @@ mapping used inside the force integrands, the half-space Fresnel pair
 and the local Drude permittivity evaluated at omega = i*xi.
 
 Lengths are nm, angular frequencies s^-1.  All functions are pure and
-keep no state; the force kernels cache their node-block factors next to
-themselves (lifshitz._film_ratio and _film_weight, anisotropic._tube_weights).
+keep no state; lifshitz._node_block_cache caches the kernels' node factors.
 """
 
 from __future__ import annotations
@@ -163,13 +162,6 @@ def _tube_normalisation(z):
     surfaces at z = k R."""
     z = np.asarray(z, dtype=float)
     return np.asarray(np.sqrt(2.0 * z * bessel_i0k0_product(z)))
-
-
-def _node_block(key: tuple):
-    """The read-only (x, p, q) of the bytes (x, p, q) of a node block as the
-    kernels receive it: x a column, p and q rows."""
-    x, p, q = map(np.frombuffer, key)
-    return x[:, None], p[None, :], q[None, :]
 
 
 def _plasma_freq(k, slab: Slab, tube: bool):

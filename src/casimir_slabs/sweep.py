@@ -398,7 +398,8 @@ def write_table(path: str | Path, names: Sequence[str], columns: Sequence,
 
 def write_manifest(output_path: str | Path, payload: dict) -> Path:
     manifest_path = Path(str(output_path) + ".manifest.json")
-    manifest_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(payload, sort_keys=True, indent=2, default=np.generic.item)
+    manifest_path.write_text(text + "\n")
     return manifest_path
 
 

@@ -352,6 +352,16 @@ class TestCrossover:
             assert forces.f_parallel == f_parallel_ratio(slab, 1000.0, fast_spec)
             assert forces.f_perp == f_perp_ratio(slab, 1000.0, fast_spec)
 
+    @pytest.mark.parametrize("d_max", [1e205, 1e206, 1e300, 1.7e308])
+    def test_wide_bracket_finds_the_root(self, d_max):
+        # Past d_max ~ 3e205 nm the u tolerance's d_max^1.5 overflows; the
+        # search then stops on its relative tolerance in u.
+        narrow = crossover_thickness(array(100.0), 1000.0, (4.0, 100.0))
+        wide = crossover_thickness(array(100.0), 1000.0, (4.0, d_max))
+        assert wide.sign_low < 0.0 < wide.sign_high
+        error = narrow.d_error + wide.d_error
+        assert abs(wide.crossover_d - narrow.crossover_d) <= error
+
     def test_bessel_normalisation_computed_once_per_block(self, bessel_calls):
         # Every probe and both orientations reuse the cached blocks: one
         # Bessel call per distinct node block (one per level whose kernel

@@ -782,6 +782,19 @@ class TestCrossoverCommand:
         assert record["crossover_d_nm"] is None
         assert record["sign_low"] == record["sign_high"] == 1.0
 
+    def test_wide_bracket_found(self, capsys, tmp_path):
+        # d_max^1.5 overflows past ~3e205 nm; the root is still found, so
+        # neither command exits 1, the code for no crossover
+        bracket = ("--l-nm", "1000", "--d-min-nm", "4", "--d-max-nm", "1e300")
+        code, out, _ = run(capsys, "crossover", *bracket)
+        assert code == 0
+        assert 44.0 < result_records(out)[0]["crossover_d_nm"] < 46.0
+        out = tmp_path / "wide.csv"
+        code, _, _ = run(capsys, "sweep", "--quantity", "crossover", *bracket,
+                         "--out", str(out))
+        assert code == 0
+        assert 44.0 < float(out.read_text().splitlines()[1].split(",")[0]) < 46.0
+
     def test_found_with_curve(self, capsys, tmp_path):
         curve = tmp_path / "curve.csv"
         code, out, _ = run(
@@ -971,6 +984,37 @@ def test_numpy_integer_sizes_are_plain_sizes(tmp_path, fast_spec):
     assert preset["rows"] == 2
     assert json.loads((tmp_path / "p.csv.manifest.json").read_text())[
         "fixed_params"]["points"] == 2
+
+
+TUBES = {"l": 1000.0, "radius": 2.0, "eps_b": 10.0, "omega_p": 2e16}
+
+
+@pytest.mark.parametrize("quantity, fixed, axes", [
+    ("aniso_parallel", {**TUBES, "layers": np.int64(5)}, ()),
+    ("lifshitz_local", {"l": 1000.0, "omega_p": np.int64(2e16)}, ()),
+    ("casimir", {}, (sweep.SweepAxis("l", np.int64(900), 1000, 2),)),
+    ("casimir", {}, (sweep.SweepAxis("l", np.float32(900.5), 1000.0, 2),)),
+], ids=["layers", "omega_p", "axis-start", "axis-float32"])
+def test_numpy_scalar_inputs_are_plain_numbers_in_the_manifest(
+    tmp_path, fast_spec, quantity, fixed, axes
+):
+    # A numpy scalar the evaluators accept is recorded as the plain number,
+    # so the manifest cannot fail after every row is computed.
+    def written(name, fixed, axes):
+        (tmp_path / name).mkdir()
+        out = tmp_path / name / "x.csv"
+        sweep.run_sweep(sweep.SweepRequest(quantity, fixed, axes, str(out)), fast_spec)
+        return [path.read_bytes() for path in with_manifest(out)]
+
+    def plain(value):
+        return np.asarray(value).item()
+
+    plain_fixed = {k: plain(v) for k, v in fixed.items()}
+    plain_axes = tuple(
+        sweep.SweepAxis(ax.name, plain(ax.start), plain(ax.stop), ax.points)
+        for ax in axes
+    )
+    assert written("numpy", fixed, axes) == written("plain", plain_fixed, plain_axes)
 
 
 class TestPresets:

@@ -263,6 +263,44 @@ class TestFilmCache:
         assert np.all(np.abs(new - old) <= 4.0 * np.spacing(old))
 
 
+# The extra arguments each node-block cache takes after its key.
+NODE_BLOCK_ARGS = {
+    "_film_ratio": (), "_film_weight": (), "_tube_weights": (1000.0, 2.0, 10.0),
+}
+
+
+def test_every_node_block_cache_shares_read_only_arrays():
+    # Every cache of lifshitz and anisotropic sized to the kernel levels is
+    # made by _node_block_cache: a hit returns the arrays of the miss, and
+    # no caller can write into them.
+    from casimir_slabs import anisotropic
+    from casimir_slabs.quadrature import _KERNEL_LEVELS
+
+    made = lifshitz._node_block_cache(lambda x, p, q: x).__wrapped__.__code__
+    caches = {
+        name: value
+        for module in (lifshitz, anisotropic)
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_parameters")
+        and value.cache_parameters()["maxsize"] == len(_KERNEL_LEVELS)
+    }
+    assert caches.keys() == NODE_BLOCK_ARGS.keys()
+    x, _, p, q, _ = _levels(40.0, "hyperbolic", True)[0][-1]
+    key = x.tobytes(), p.tobytes(), q.tobytes()
+    empty_node_block_caches()
+    for name, cache in caches.items():
+        assert cache.__wrapped__.__code__ is made, name
+        arrays = cache(key, *NODE_BLOCK_ARGS[name])
+        assert cache(key, *NODE_BLOCK_ARGS[name]) is arrays
+        assert cache.cache_info()[:2] == (1, 1)  # one hit after one miss
+        for array in arrays if isinstance(arrays, tuple) else (arrays,):
+            assert array.shape == (x.size, p.size)
+            with pytest.raises(ValueError, match="read-only"):
+                array *= 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+
 class TestThinLimit:
     def test_coefficient_value(self):
         assert thin_limit_coefficient() == pytest.approx(4.79, abs=0.01)
